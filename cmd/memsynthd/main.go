@@ -42,8 +42,7 @@
 //	                                            # coordinator's store on misses
 //
 // -cluster-workers fixes the shard count per request (default: the live
-// worker count at submission). -race-backends races the enumerative and
-// SAT-guided backends on cold local runs and keeps the first finisher.
+// worker count at submission).
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, waits for
 // in-flight requests and async jobs to drain (bounded by -drain-timeout),
@@ -89,7 +88,6 @@ func main() {
 		clusterWorkers = flag.Int("cluster-workers", 0, "shards per distributed request (0 = live worker count at submission)")
 		workerName     = flag.String("worker-name", "", "worker name reported to the coordinator (default: the hostname)")
 		warmupEvery    = flag.Duration("warmup-interval", 0, "coordinator warmup prefetch cadence (0 disables; e.g. 1m)")
-		raceBackends   = flag.Bool("race-backends", false, "race the enum and sat backends on cold local synthesis; first complete result wins")
 	)
 	flag.Parse()
 	if *coordinator && *joinURL != "" {
@@ -145,11 +143,10 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Store:        st,
-		MaxJobs:      *maxJobs,
-		Models:       registry,
-		Logf:         log.Printf,
-		RaceBackends: *raceBackends,
+		Store:   st,
+		MaxJobs: *maxJobs,
+		Models:  registry,
+		Logf:    log.Printf,
 	}
 	var coord *cluster.Coordinator
 	if *coordinator {

@@ -1,16 +1,16 @@
 package admit_test
 
 // Admit benchmark rows for BENCH_synth.json: `make bench` runs this test
-// after the synth snapshot and the satgen backend rows, merging an
+// after the synth snapshot, merging an
 // "admit_cases" section that measures the fast-admissibility filter on
 // the enumeration engine's worst regime — single-address tso programs,
 // whose factorially many coherence orders the filter prunes wholesale
 // whenever saturation refutes the reads-from assignment above them.
 //
 // The headline case is tso bound 8 with one address: exhaustive
-// enumeration cannot finish it within the bench timeout (see the enum
-// row in backend_cases), while the same enumeration engine with the
-// filter on completes — that completion is asserted, not just recorded.
+// enumeration does not finish it within the bench timeout, while the same
+// enumeration engine with the filter on completes — that completion is
+// asserted, not just recorded.
 
 import (
 	"context"
@@ -24,8 +24,8 @@ import (
 	"memsynth/internal/synth"
 )
 
-// admitBenchTimeout matches the satgen backend bench timeout so the
-// admit-on rows are directly comparable with the enum/sat rows.
+// admitBenchTimeout bounds every admit row; at tso bound 8 only the
+// filtered enumeration finishes within it.
 const admitBenchTimeout = 150 * time.Second
 
 type admitCase struct {
@@ -102,8 +102,8 @@ func TestBenchAdmit(t *testing.T) {
 		for _, mode := range []string{"off", "auto"} {
 			cases = append(cases, runAdmitCase(t, "tso", 7, 1, mode))
 		}
-		// Headline point: plain enumeration hits the bench timeout (the
-		// backend_cases enum row), the filtered enumeration must complete.
+		// Headline point: plain enumeration hits the bench timeout, the
+		// filtered enumeration must complete.
 		fast8 := runAdmitCase(t, "tso", 8, 1, "auto")
 		cases = append(cases, fast8)
 		if !fast8.Completed {

@@ -21,8 +21,9 @@ var pooledTypeNames = map[string]bool{
 // poolOwnerPkgs are the packages allowed to own pooled values — to store
 // them in struct fields, return them, or share them with goroutines —
 // because they implement the pooling discipline itself: exec mints them,
-// minimal/admit/satgen hoist per-worker views out of the per-execution
-// path, and cat's evaluation environment memoizes per-view.
+// minimal/admit hoist per-worker views out of the per-execution path,
+// satgen's encoder holds per-program views while it builds one query, and
+// cat's evaluation environment memoizes per-view.
 var poolOwnerPkgs = map[string]bool{
 	"memsynth/internal/exec":         true,
 	"memsynth/internal/minimal":      true,

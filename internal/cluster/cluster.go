@@ -128,7 +128,6 @@ type ShardJob struct {
 type RegisterRequest struct {
 	Name          string   `json:"name"`
 	EngineVersion string   `json:"engine_version"`
-	Backends      []string `json:"backends"`
 	Models        []string `json:"models"`
 	MaxJobs       int      `json:"max_jobs"`
 }

@@ -134,7 +134,6 @@ type cflight struct {
 type member struct {
 	id       string
 	name     string
-	backends []string
 	models   []string
 	maxJobs  int
 	lastSeen time.Time
@@ -154,8 +153,8 @@ func (q shardQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q shardQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *shardQueue) Push(x any)        { *q = append(*q, x.(*shardState)) }
+func (q shardQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *shardQueue) Push(x any)   { *q = append(*q, x.(*shardState)) }
 func (q *shardQueue) Pop() any {
 	old := *q
 	n := len(old)
@@ -672,7 +671,6 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.workers[id] = &member{
 		id:       id,
 		name:     req.Name,
-		backends: req.Backends,
 		models:   req.Models,
 		maxJobs:  req.MaxJobs,
 		lastSeen: time.Now(),
@@ -680,7 +678,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	c.metrics.Add("workers_registered", 1)
 	c.mu.Unlock()
-	c.logf("cluster: worker %s registered (%s, max_jobs=%d, backends=%v)", id, req.Name, req.MaxJobs, req.Backends)
+	c.logf("cluster: worker %s registered (%s, max_jobs=%d)", id, req.Name, req.MaxJobs)
 	clusterJSON(w, http.StatusOK, RegisterResponse{
 		WorkerID:            id,
 		HeartbeatIntervalMS: c.cfg.HeartbeatInterval.Milliseconds(),
@@ -964,12 +962,11 @@ func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 // handleStatus reports a point-in-time cluster snapshot.
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	type workerStatus struct {
-		ID           string   `json:"id"`
-		Name         string   `json:"name"`
-		Backends     []string `json:"backends,omitempty"`
-		MaxJobs      int      `json:"max_jobs"`
-		LastSeenMS   int64    `json:"last_seen_ms_ago"`
-		AssignedJobs int      `json:"assigned"`
+		ID           string `json:"id"`
+		Name         string `json:"name"`
+		MaxJobs      int    `json:"max_jobs"`
+		LastSeenMS   int64  `json:"last_seen_ms_ago"`
+		AssignedJobs int    `json:"assigned"`
 	}
 	type flightStatus struct {
 		Digest  string `json:"digest"`
@@ -989,7 +986,6 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		out.Workers = append(out.Workers, workerStatus{
 			ID:           m.id,
 			Name:         m.name,
-			Backends:     m.backends,
 			MaxJobs:      m.maxJobs,
 			LastSeenMS:   now.Sub(m.lastSeen).Milliseconds(),
 			AssignedJobs: len(m.assigned),

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"expvar"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -151,8 +152,8 @@ func singleNodeText(t *testing.T, model string, opts synth.Options) (digest, tex
 // TestClusterEndToEndHTTP is the 3-node smoke: a coordinator and two
 // workers serve a cold synthesize request over HTTP; the suite bytes and
 // store digest must equal a single-node run, the second request must hit
-// the coordinator's store, and the stored manifest must record the
-// cluster backend.
+// the coordinator's store, and the coordinator must have completed every
+// shard of the request.
 func TestClusterEndToEndHTTP(t *testing.T) {
 	coord := newCoordinatorNode(t, func(c *cluster.Config) { c.ShardsPerRequest = 3 })
 	joinWorker(t, coord.ts.URL, "w1", time.Second)
@@ -177,12 +178,12 @@ func TestClusterEndToEndHTTP(t *testing.T) {
 		t.Error("cluster suite bytes differ from single-node")
 	}
 
-	ss, err := coord.store.Get(wantDigest)
-	if err != nil {
+	if _, err := coord.store.Get(wantDigest); err != nil {
 		t.Fatal(err)
 	}
-	if ss.Manifest.Backend != "cluster" {
-		t.Errorf("stored Backend = %q, want cluster", ss.Manifest.Backend)
+	completed, _ := coord.coord.Metrics().(*expvar.Map).Get("shards_completed").(*expvar.Int)
+	if completed == nil || completed.Value() != 3 {
+		t.Errorf("shards_completed = %v, want 3 (the suite must come through the cluster)", completed)
 	}
 
 	resp2, text2 := synthesizeHTTP(t, coord.ts.URL, req)

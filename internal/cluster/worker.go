@@ -133,7 +133,6 @@ func (w *Worker) register(ctx context.Context) error {
 	req := RegisterRequest{
 		Name:          w.cfg.Name,
 		EngineVersion: synth.EngineVersion,
-		Backends:      synth.Backends(),
 		Models:        models,
 		MaxJobs:       w.cfg.MaxShards,
 	}
@@ -500,7 +499,7 @@ func (ps *progressStream) observe(ev synth.ProgressEvent) {
 		ElapsedMS:   ev.Elapsed.Milliseconds(),
 	}
 	select {
-	case ps.ch <-pw:
+	case ps.ch <- pw:
 	default:
 	}
 }

@@ -443,7 +443,7 @@ func (c *compiled) activeNodes(a []sat.Lit) []int {
 // order makes L assignable, so satisfiability is preserved. This is
 // linear-ish in nodes³ instead of the n²·log n gates of the closure
 // circuit — the difference that makes per-program minimality queries
-// cheap enough for the sat synthesis backend.
+// cheap enough to answer for every program of a bound.
 func (c *compiled) acyclicPos(a []sat.Lit) sat.Lit {
 	n := c.p.n
 	nodes := c.activeNodes(a)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"memsynth/internal/cluster"
 	"memsynth/internal/memmodel"
@@ -192,7 +191,7 @@ func (s *Server) lead(f *flight, model memmodel.Model, opts synth.Options, pri c
 	defer s.metrics.inflight.Add(-1)
 
 	opts.Progress = f.observe
-	res, err := s.runLocal(f.runCtx, model, opts)
+	res, err := s.synthFn(f.runCtx, model, opts)
 	switch {
 	case err != nil:
 		f.err = err
@@ -202,60 +201,4 @@ func (s *Server) lead(f *flight, model memmodel.Model, opts synth.Options, pri c
 		s.metrics.admitFast.Add(int64(res.Stats.ExecutionsFast))
 		f.ss, f.err = s.store.Put(res)
 	}
-}
-
-// runLocal executes one engine run on this node. In race mode a cold run
-// on the default backend becomes a race: the enumerative and SAT-guided
-// backends start together, the first complete result wins (they are
-// byte-identical by the backend contract, so either is correct), and the
-// loser is cancelled. The winner's name lands in Result.Backend, hence
-// in the stored Manifest.Backend and the race_backend_wins metric.
-func (s *Server) runLocal(ctx context.Context, model memmodel.Model, opts synth.Options) (*synth.Result, error) {
-	const raceRival = "sat"
-	racing := s.raceBackends &&
-		(opts.Backend == "" || opts.Backend == synth.DefaultBackend)
-	if racing {
-		if _, err := synth.BackendByName(raceRival); err != nil {
-			racing = false
-		}
-	}
-	if !racing {
-		return s.synthFn(ctx, model, opts)
-	}
-
-	type outcome struct {
-		res *synth.Result
-		err error
-	}
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan outcome, 2)
-	for _, name := range []string{synth.DefaultBackend, raceRival} {
-		o := opts
-		o.Backend = name
-		go func() {
-			res, err := s.synthFn(raceCtx, model, o)
-			ch <- outcome{res, err}
-		}()
-	}
-	var winner, last outcome
-	for i := 0; i < 2; i++ {
-		oc := <-ch
-		if winner.res == nil && oc.err == nil && !oc.res.Stats.Interrupted {
-			winner = oc
-			// The loser's partial work is worthless (the winner's result
-			// is already complete); stop burning CPU on it. The loop
-			// still waits for it so no engine run outlives this call.
-			cancel()
-			continue
-		}
-		last = oc
-	}
-	if winner.res != nil {
-		s.metrics.raceWins.Add(winner.res.Backend, 1)
-		s.logf("backend race for model %s won by %s in %s",
-			model.Name(), winner.res.Backend, winner.res.Stats.Elapsed.Round(time.Millisecond))
-		return winner.res, nil
-	}
-	return last.res, last.err
 }

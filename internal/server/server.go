@@ -30,8 +30,6 @@
 //	                                 text body); returns the full catlint
 //	                                 report without registering anything
 //	                                 (?bound= overrides the tier-2 bound)
-//	GET    /v1/backends              registered synthesis backends with
-//	                                 per-model fallback reasons
 //	GET    /v1/admit                 fast-admissibility capability matrix:
 //	                                 per builtin model, whether the explore
 //	                                 phase can use the polynomial
@@ -68,10 +66,6 @@ import (
 	"memsynth/internal/memmodel"
 	"memsynth/internal/store"
 	"memsynth/internal/synth"
-
-	// Register the SAT-guided backend so "backend": "sat" resolves even
-	// when the server is embedded without the memsynth facade.
-	_ "memsynth/internal/synth/satgen"
 )
 
 // Config configures a Server.
@@ -87,9 +81,9 @@ type Config struct {
 	// LintBound is the tier-2 event bound used when linting registered
 	// definitions (default: the catlint default, 4).
 	LintBound int
-	// Logf, when non-nil, receives request-level log lines (selected
-	// synthesis backend, backend fallback warnings). The daemon wires
-	// log.Printf; nil discards.
+	// Logf, when non-nil, receives request-level log lines (synthesize
+	// requests, admit fallback warnings). The daemon wires log.Printf; nil
+	// discards.
 	Logf func(format string, args ...any)
 	// Cluster, when non-nil, makes this server a cluster coordinator:
 	// cold synthesize requests are partitioned into shard jobs and
@@ -102,12 +96,6 @@ type Config struct {
 	// synthesizing (store.GetThrough): the cluster's shared cache tier.
 	// Worker nodes point it at the coordinator's suites API.
 	Peer store.Peer
-	// RaceBackends races the enumerative and SAT-guided backends on cold
-	// local synthesis runs when the client did not explicitly pick a
-	// backend: both run concurrently, the first complete result wins,
-	// the loser is cancelled, and the winner is recorded in the stored
-	// Manifest.Backend and the race_backend_wins metric.
-	RaceBackends bool
 }
 
 // DefaultMaxJobs is the engine-run concurrency bound when Config.MaxJobs
@@ -133,13 +121,8 @@ type metrics struct {
 	// lintWarnings counts warning findings on accepted model
 	// registrations (422 rejections are not counted).
 	lintWarnings *expvar.Int
-	// backendReqs counts synthesize requests per selected backend
-	// (after defaulting, before cache lookup).
-	backendReqs *expvar.Map
 	// peerHits counts store misses served by the peer cache tier.
 	peerHits *expvar.Int
-	// raceWins counts cold-run backend races by winning backend.
-	raceWins *expvar.Map
 	// stressRuns counts stress jobs started; stressIterations accumulates
 	// iterations executed across them; stressUnexplained accumulates
 	// iterations whose observed outcome the model forbids.
@@ -168,11 +151,7 @@ func newMetrics() *metrics {
 	m.jobsActive = mk("jobs_active")
 	m.jobsDone = mk("jobs_done")
 	m.lintWarnings = mk("model_lint_warnings")
-	m.backendReqs = new(expvar.Map).Init()
-	m.all.Set("synth_backend_requests", m.backendReqs)
 	m.peerHits = mk("peer_hits")
-	m.raceWins = new(expvar.Map).Init()
-	m.all.Set("race_backend_wins", m.raceWins)
 	m.stressRuns = mk("stress_runs")
 	m.stressIterations = mk("stress_iterations")
 	m.stressUnexplained = mk("stress_unexplained_outcomes")
@@ -191,9 +170,8 @@ type Server struct {
 	mux      *http.ServeMux
 	lintOpts catlint.Options
 
-	cluster      *cluster.Coordinator
-	peer         store.Peer
-	raceBackends bool
+	cluster *cluster.Coordinator
+	peer    store.Peer
 
 	logFn func(format string, args ...any)
 
@@ -216,17 +194,16 @@ func New(cfg Config) *Server {
 		models = memmodel.NewRegistry()
 	}
 	s := &Server{
-		store:        cfg.Store,
-		models:       models,
-		sem:          make(chan struct{}, maxJobs),
-		metrics:      newMetrics(),
-		mux:          http.NewServeMux(),
-		lintOpts:     catlint.Options{Bound: cfg.LintBound},
-		logFn:        cfg.Logf,
-		synthFn:      synth.SynthesizeContext,
-		cluster:      cfg.Cluster,
-		peer:         cfg.Peer,
-		raceBackends: cfg.RaceBackends,
+		store:    cfg.Store,
+		models:   models,
+		sem:      make(chan struct{}, maxJobs),
+		metrics:  newMetrics(),
+		mux:      http.NewServeMux(),
+		lintOpts: catlint.Options{Bound: cfg.LintBound},
+		logFn:    cfg.Logf,
+		synthFn:  synth.SynthesizeContext,
+		cluster:  cfg.Cluster,
+		peer:     cfg.Peer,
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.flights = newFlightGroup()
@@ -253,7 +230,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/models", s.handleModelRegister)
 	s.mux.HandleFunc("POST /v1/models/lint", s.handleModelLint)
 	s.mux.HandleFunc("POST /v1/synthesize", s.handleSynthesize)
-	s.mux.HandleFunc("GET /v1/backends", s.handleBackends)
 	s.mux.HandleFunc("GET /v1/admit", s.handleAdmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/suites", s.handleSuiteList)
@@ -289,15 +265,10 @@ func (s *Server) Close() { s.baseCancel() }
 type SynthesizeRequest struct {
 	Model string `json:"model"`
 	store.RequestOptions
-	// Backend selects the synthesis backend ("" means the default,
-	// "enum"). Backend choice never changes the produced suites or the
-	// cache digest — an unknown name is rejected with 422 listing the
-	// known backends.
-	Backend string `json:"backend,omitempty"`
 	// Admit controls the fast-admissibility filter on the enumeration hot
 	// path: "" or "auto" uses it for models with a registered algorithm,
-	// "off" forces exhaustive enumeration. Like Backend, the switch never
-	// changes the produced suites or the cache digest.
+	// "off" forces exhaustive enumeration. The switch never changes the
+	// produced suites or the cache digest.
 	Admit string `json:"admit,omitempty"`
 	// Async enqueues a job and returns 202 with its ID instead of
 	// blocking until the suite is ready.
@@ -464,31 +435,13 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	backendName := req.Backend
-	if backendName == "" {
-		backendName = synth.DefaultBackend
-	}
-	be, err := synth.BackendByName(backendName)
-	if err != nil {
-		// The error text lists the registered backends.
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
 	opts := req.RequestOptions.SynthOptions()
-	opts.Backend = backendName
 	opts.Admit = req.Admit
 	if err := opts.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.metrics.backendReqs.Add(backendName, 1)
-	s.logf("synthesize model=%s max_events=%d backend=%s", model.Name(), opts.MaxEvents, backendName)
-	if sup, ok := be.(synth.Supporter); ok {
-		if native, reason := sup.Supports(model); !native {
-			s.logf("warning: backend %s falls back to the enum engine for model %s: %s",
-				backendName, model.Name(), reason)
-		}
-	}
+	s.logf("synthesize model=%s max_events=%d", model.Name(), opts.MaxEvents)
 	if opts.Admit != "off" {
 		if ok, reason := admit.Supports(model); !ok {
 			s.metrics.admitFallbacks.Add(1)
@@ -595,16 +548,6 @@ func synthesizeResponse(ss *store.StoredSuite, cached bool) SynthesizeResponse {
 	return resp
 }
 
-// backendInfo is one row of the /v1/backends listing.
-type backendInfo struct {
-	Name    string `json:"name"`
-	Default bool   `json:"default"`
-	// Fallbacks maps visible model names to the reason this backend runs
-	// them on the enumerative engine instead of its native search; absent
-	// for models (and backends) handled natively.
-	Fallbacks map[string]string `json:"fallbacks,omitempty"`
-}
-
 // handleAdmit reports, per builtin model, whether the enumeration engine
 // has a fast-admissibility algorithm for it (and why not, when it does
 // not). Models registered from cat definitions always fall back, so they
@@ -612,31 +555,6 @@ type backendInfo struct {
 // matrix.
 func (s *Server) handleAdmit(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, admit.Models())
-}
-
-// handleBackends lists the registered synthesis backends and, per visible
-// model, whether each backend would fall back to the enumerative engine.
-func (s *Server) handleBackends(w http.ResponseWriter, _ *http.Request) {
-	var out []backendInfo
-	for _, name := range synth.Backends() {
-		be, err := synth.BackendByName(name)
-		if err != nil {
-			continue // racing deregistration cannot happen; defensive
-		}
-		info := backendInfo{Name: name, Default: name == synth.DefaultBackend}
-		if sup, ok := be.(synth.Supporter); ok {
-			for _, m := range s.models.All() {
-				if native, reason := sup.Supports(m); !native {
-					if info.Fallbacks == nil {
-						info.Fallbacks = make(map[string]string)
-					}
-					info.Fallbacks[m.Name()] = reason
-				}
-			}
-		}
-		out = append(out, info)
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleSuiteList(w http.ResponseWriter, _ *http.Request) {

@@ -51,7 +51,7 @@ func postSynthesize(t testing.TB, url string, body string) (*http.Response, []by
 }
 
 // readMetrics fetches and decodes /metrics (counters are numbers; the
-// per-backend request counter is a nested map).
+// store cache counters are a nested object).
 func readMetrics(t testing.TB, url string) map[string]any {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
@@ -470,124 +470,44 @@ func TestSuiteDetect(t *testing.T) {
 	}
 }
 
-// TestBackendsEndpointAndSelection covers the backend surface of the
-// service: GET /v1/backends (with per-model fallback reasons), backend
-// selection on POST /v1/synthesize with cross-backend cache identity, the
-// per-backend request metric, request logging including the enum-fallback
-// warning, and 422 rejection of unknown backend names.
-func TestBackendsEndpointAndSelection(t *testing.T) {
+// TestSynthesizeRejectsBackendField pins the removal of the pluggable
+// backend surface: the engine has one explore path, so a "backend" field
+// in a synthesize request is rejected as an unknown field (400), GET
+// /v1/backends is gone, and /metrics carries no per-backend counters.
+func TestSynthesizeRejectsBackendField(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var logs []string
-	s := New(Config{Store: st, MaxJobs: 2, Logf: func(format string, args ...any) {
-		mu.Lock()
-		logs = append(logs, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}})
+	s := New(Config{Store: st})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
 	})
-	logged := func(substr string) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, l := range logs {
-			if strings.Contains(l, substr) {
-				return true
-			}
-		}
-		return false
-	}
 
+	for _, backend := range []string{"enum", "sat"} {
+		resp, data := postSynthesize(t, ts.URL, `{"model":"sc","max_events":3,"backend":"`+backend+`"}`)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "unknown field") {
+			t.Errorf("backend %q: status %d (%s), want 400 unknown field", backend, resp.StatusCode, data)
+		}
+	}
 	resp, err := http.Get(ts.URL + "/v1/backends")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var infos []struct {
-		Name      string            `json:"name"`
-		Default   bool              `json:"default"`
-		Fallbacks map[string]string `json:"fallbacks"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&infos)
 	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/backends: status %d, want 404", resp.StatusCode)
 	}
-	byName := make(map[string]struct {
-		Default   bool
-		Fallbacks map[string]string
-	})
-	for _, in := range infos {
-		byName[in.Name] = struct {
-			Default   bool
-			Fallbacks map[string]string
-		}{in.Default, in.Fallbacks}
-	}
-	enum, ok := byName["enum"]
-	if !ok || !enum.Default || len(enum.Fallbacks) != 0 {
-		t.Errorf("bad enum listing: %+v", byName)
-	}
-	sat, ok := byName["sat"]
-	if !ok || sat.Default {
-		t.Fatalf("bad sat listing: %+v", byName)
-	}
-	if reason := sat.Fallbacks["power"]; reason == "" {
-		t.Errorf("sat backend reports no fallback reason for power: %+v", sat.Fallbacks)
-	}
-	if reason, ok := sat.Fallbacks["tso"]; ok {
-		t.Errorf("sat backend reports fallback for natively supported tso: %q", reason)
-	}
-
-	// Backend choice must not affect the cache identity: a sat run then a
-	// backend-less (enum) request for the same (model, bound) is a hit.
-	resp1, suite1 := postSynthesize(t, ts.URL, `{"model":"sc","max_events":3,"backend":"sat","format":"litmus"}`)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("sat POST: %d: %s", resp1.StatusCode, suite1)
-	}
-	if !logged("backend=sat") {
-		t.Error("sat request not logged with its backend")
-	}
-	resp2, suite2 := postSynthesize(t, ts.URL, `{"model":"sc","max_events":3,"format":"litmus"}`)
-	if got := resp2.Header.Get("X-Memsynth-Cached"); got != "true" {
-		t.Errorf("enum request after sat run: cached = %q, want true", got)
-	}
-	if !bytes.Equal(suite1, suite2) {
-		t.Error("suites differ across backends")
-	}
-
-	// An unsupported model on the sat backend is served via enum fallback
-	// — logged as a warning, never an error.
-	resp3, data := postSynthesize(t, ts.URL, `{"model":"power","max_events":3,"backend":"sat"}`)
-	if resp3.StatusCode != http.StatusOK {
-		t.Fatalf("sat POST for power: %d: %s", resp3.StatusCode, data)
-	}
-	if !logged("falls back to the enum engine for model power") {
-		t.Errorf("missing fallback warning; logs: %q", logs)
-	}
-
-	perBackend, ok := readMetrics(t, ts.URL)["synth_backend_requests"].(map[string]any)
-	if !ok {
-		t.Fatal("synth_backend_requests metric missing or not a map")
-	}
-	if n, _ := perBackend["sat"].(float64); n != 2 {
-		t.Errorf("synth_backend_requests[sat] = %v, want 2", perBackend["sat"])
-	}
-	if n, _ := perBackend["enum"].(float64); n != 1 {
-		t.Errorf("synth_backend_requests[enum] = %v, want 1", perBackend["enum"])
-	}
-
-	resp4, data := postSynthesize(t, ts.URL, `{"model":"sc","max_events":3,"backend":"minisat"}`)
-	if resp4.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("unknown backend: status %d (%s), want 422", resp4.StatusCode, data)
-	}
-	for _, want := range []string{"minisat", "enum", "sat"} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("unknown-backend error %q does not mention %q", data, want)
+	metrics := readMetrics(t, ts.URL)
+	for _, name := range []string{"synth_backend_requests", "race_backend_wins"} {
+		if _, ok := metrics[name]; ok {
+			t.Errorf("/metrics still carries %s", name)
 		}
+	}
+	if got := metrics["synth_runs"]; got != float64(0) {
+		t.Errorf("synth_runs = %v, want 0 (rejected requests must not run the engine)", got)
 	}
 }
 
@@ -722,92 +642,5 @@ func BenchmarkServerSynthesizeCached(b *testing.B) {
 		if got := resp.Header.Get("X-Memsynth-Cached"); got != "true" {
 			b.Fatalf("uncached response in cached benchmark (%s)", got)
 		}
-	}
-}
-
-// TestRaceBackendsMode pins the -race-backends contract: a cold run on
-// the default backend races enum against sat, the first complete result
-// wins (and is recorded in the manifest and the race_backend_wins
-// metric), and the loser is cancelled rather than left running.
-func TestRaceBackendsMode(t *testing.T) {
-	st, err := store.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{Store: st, RaceBackends: true})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-
-	// Fake both racers: "sat" completes a real engine run; the default
-	// backend stalls until the race cancels it, proving the loser's
-	// context is torn down.
-	loserCancelled := make(chan struct{})
-	s.synthFn = func(ctx context.Context, m memmodel.Model, opts synth.Options) (*synth.Result, error) {
-		run := opts
-		run.Backend = "" // both fakes drive the real enumerative engine
-		if opts.Backend == "sat" {
-			res, err := synth.SynthesizeContext(ctx, m, run)
-			if err == nil {
-				res.Backend = "sat"
-			}
-			return res, err
-		}
-		<-ctx.Done()
-		close(loserCancelled)
-		return synth.SynthesizeContext(ctx, m, run) // returns interrupted
-	}
-
-	resp, data := postSynthesize(t, ts.URL, `{"model":"sc","max_events":3}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	select {
-	case <-loserCancelled:
-	case <-time.After(10 * time.Second):
-		t.Fatal("losing backend was never cancelled")
-	}
-
-	var out SynthesizeResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	ss, err := st.Get(out.Digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.Manifest.Backend != "sat" {
-		t.Errorf("Manifest.Backend = %q, want sat (the race winner)", ss.Manifest.Backend)
-	}
-
-	metrics := readMetrics(t, ts.URL)
-	wins, _ := metrics["race_backend_wins"].(map[string]any)
-	if got, _ := wins["sat"].(float64); got != 1 {
-		t.Errorf("race_backend_wins[sat] = %v, want 1", wins["sat"])
-	}
-
-	// A cache hit must not re-race: the winner count stays put.
-	resp2, _ := postSynthesize(t, ts.URL, `{"model":"sc","max_events":3}`)
-	if resp2.Header.Get("X-Memsynth-Cached") != "true" {
-		t.Error("second request missed the cache")
-	}
-	metrics = readMetrics(t, ts.URL)
-	wins, _ = metrics["race_backend_wins"].(map[string]any)
-	if got, _ := wins["sat"].(float64); got != 1 {
-		t.Errorf("race_backend_wins[sat] after cache hit = %v, want 1", wins["sat"])
-	}
-
-	// An explicit non-default backend bypasses the race entirely.
-	s.synthFn = synth.SynthesizeContext
-	resp3, data := postSynthesize(t, ts.URL, `{"model":"tso","max_events":3,"backend":"sat"}`)
-	if resp3.StatusCode != http.StatusOK {
-		t.Fatalf("explicit backend: status %d: %s", resp3.StatusCode, data)
-	}
-	metrics = readMetrics(t, ts.URL)
-	wins, _ = metrics["race_backend_wins"].(map[string]any)
-	if got, _ := wins["enum"].(float64); got != 0 {
-		t.Errorf("race ran for an explicit backend selection: %v", wins)
 	}
 }

@@ -178,11 +178,6 @@ type Manifest struct {
 	Model         string                   `json:"model"`
 	ModelSource   string                   `json:"model_source,omitempty"`
 	ModelDigest   string                   `json:"model_digest,omitempty"`
-	// Backend records which synthesis backend produced the suites.
-	// Provenance only: every backend emits byte-identical suites, so the
-	// digest deliberately excludes it and a cached suite is a hit for any
-	// requested backend.
-	Backend string `json:"backend,omitempty"`
 	Options       RequestOptions           `json:"options"`
 	CreatedAt     time.Time                `json:"created_at"`
 	Stats         StatsManifest            `json:"stats"`
@@ -251,7 +246,6 @@ func Encode(res *synth.Result) (*StoredSuite, error) {
 		Model:         res.Model,
 		ModelSource:   res.ModelSource,
 		ModelDigest:   res.ModelDigest,
-		Backend:       res.Backend,
 		Options:       FromSynthOptions(res.Options),
 		CreatedAt:     time.Now().UTC().Truncate(time.Second),
 		Stats:         statsManifest(res.Stats),
@@ -294,7 +288,6 @@ func (ss *StoredSuite) Result() (*synth.Result, error) {
 		Options:     m.Options.SynthOptions().Normalize(),
 		ModelSource: m.ModelSource,
 		ModelDigest: m.ModelDigest,
-		Backend:     m.Backend,
 		PerAxiom:    make(map[string]*synth.Suite),
 		Stats:       m.Stats.synthStats(),
 	}

@@ -146,6 +146,51 @@ func TestGetSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestGetLoadsLegacyBackendManifest: manifests written before the engine
+// had a single explore path carry a "backend" provenance field. Such
+// entries must keep loading (the field is ignored) rather than turning
+// every old cache entry into a miss.
+func TestGetLoadsLegacyBackendManifest(t *testing.T) {
+	res := synthesizeSC(t, 3)
+	dir := t.TempDir()
+	s1, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, err := s1.Put(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "objects", put.Manifest.Digest, "manifest.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.Replace(string(raw), `"model": "sc",`, `"model": "sc",
+  "backend": "sat",`, 1)
+	if legacy == string(raw) {
+		t.Fatalf("manifest has no model line to anchor the legacy field:\n%s", raw)
+	}
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, 0) // fresh LRU: Get must read the edited manifest
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s2.Get(put.Manifest.Digest)
+	if err != nil {
+		t.Fatalf("legacy manifest: %v", err)
+	}
+	if got.Texts[UnionSuite] != put.Texts[UnionSuite] {
+		t.Error("union text changed")
+	}
+	if _, err := got.Result(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGetNotFound(t *testing.T) {
 	s, err := Open(t.TempDir(), 0)
 	if err != nil {

@@ -73,7 +73,7 @@ func benchExplore(b *testing.B, m memmodel.Model, bound int) {
 	for i := 0; i < b.N; i++ {
 		for _, winners := range perSize {
 			for _, w := range winners {
-				e.processProgram(checker, adm, nil, w.test)
+				e.processProgram(checker, adm, w.test)
 			}
 		}
 	}

@@ -19,11 +19,6 @@ type Options struct {
 	MaxDeps int
 	// MaxRMWs bounds the number of RMW pairs (default 1).
 	MaxRMWs int
-	// Backend selects the synthesis engine implementation by registered
-	// name ("" means DefaultBackend, i.e. "enum"). Every backend produces
-	// byte-identical suites, so Normalize strips the field and backend
-	// choice never affects store digests.
-	Backend string
 	// Admit selects the fast-admissibility filter (internal/admit), which
 	// refutes reads-from assignments that provably cannot extend into a
 	// minimal execution before their coherence orders are enumerated. ""
@@ -90,11 +85,6 @@ func (o Options) Validate() error {
 	case o.ProgressInterval < 0:
 		return fmt.Errorf("synth: Options.ProgressInterval must be non-negative, got %v", o.ProgressInterval)
 	}
-	if o.Backend != "" {
-		if _, err := BackendByName(o.Backend); err != nil {
-			return err
-		}
-	}
 	switch o.Admit {
 	case "", "auto", "off":
 	default:
@@ -104,13 +94,12 @@ func (o Options) Validate() error {
 }
 
 // Normalize returns o with defaults applied and the engine-tuning knobs
-// that do not affect results (Backend, Workers, Progress, ProgressInterval)
+// that do not affect results (Admit, Workers, Progress, ProgressInterval)
 // cleared. Two Options values describe the same synthesis output iff their
 // normalized forms are equal, which is what content-addressed storage
 // (internal/store) digests.
 func (o Options) Normalize() Options {
 	o = o.withDefaults()
-	o.Backend = ""
 	o.Admit = ""
 	o.Workers = 0
 	o.Progress = nil

@@ -1,119 +1,122 @@
 package satgen
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
-	"time"
 
+	"memsynth/internal/canon"
 	"memsynth/internal/cat"
+	"memsynth/internal/exec"
+	"memsynth/internal/litmus"
 	"memsynth/internal/memmodel"
-	"memsynth/internal/store"
+	"memsynth/internal/minimal"
 	"memsynth/internal/synth"
 )
 
-// forceSAT lowers the execution-count threshold so every program goes
-// through the SAT guide, restoring it when the test ends.
-func forceSAT(t *testing.T) {
+// requireOracleAgrees is the per-program SAT oracle: for every distinct
+// program (generation-order-first per canon.ProgramKey) of enumModel up to
+// bound, the canonical keys of the SAT candidates for satModel that the
+// minimality checker confirms must equal, in visit order, the keys of the
+// minimal executions exhaustive enumeration finds. It returns the number
+// of programs compared.
+func requireOracleAgrees(t *testing.T, satModel, enumModel memmodel.Model, bound int) int {
 	t.Helper()
-	old := execThreshold
-	execThreshold = 1
-	t.Cleanup(func() { execThreshold = old })
+	checker := minimal.NewChecker(enumModel)
+	minimalKey := func(x *exec.Execution) (string, bool) {
+		if len(checker.Check(x).MinimalFor()) == 0 {
+			return "", false
+		}
+		return canon.Key(x), true
+	}
+	seen := make(map[string]bool)
+	programs := 0
+	err := synth.EnumeratePrograms(enumModel.Vocab(), synth.Options{MaxEvents: bound}, func(p *litmus.Test) bool {
+		pk := canon.ProgramKey(p)
+		if seen[pk] {
+			return true
+		}
+		seen[pk] = true
+		programs++
+		checker.Bind(p)
+		var want []string
+		exec.Enumerate(p, exec.EnumerateOptions{}, func(x *exec.Execution) bool {
+			if key, ok := minimalKey(x); ok {
+				want = append(want, key)
+			}
+			return true
+		})
+		cands, err := Candidates(satModel, p)
+		if err != nil {
+			t.Fatalf("%s: Candidates(%s): %v", enumModel.Name(), p, err)
+		}
+		var got []string
+		for _, x := range cands {
+			if key, ok := minimalKey(x); ok {
+				got = append(got, key)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s@%d: program %s: SAT minimal keys %q, enumeration %q",
+				enumModel.Name(), bound, p, got, want)
+			return false
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return programs
 }
 
-func runBackend(t *testing.T, m memmodel.Model, backend string, bound int) *synth.Result {
+func builtin(t *testing.T, name string) memmodel.Model {
 	t.Helper()
-	opts := synth.Options{MaxEvents: bound, Backend: backend, Workers: 2}
-	res, err := synth.SynthesizeContext(context.Background(), m, opts)
+	m, err := memmodel.ByName(name)
 	if err != nil {
-		t.Fatalf("%s/%s@%d: %v", m.Name(), backend, bound, err)
+		t.Fatal(err)
 	}
-	if res.Stats.Interrupted {
-		t.Fatalf("%s/%s@%d: interrupted", m.Name(), backend, bound)
-	}
-	if res.Backend != backend {
-		t.Fatalf("%s@%d: Result.Backend = %q, want %q", m.Name(), bound, res.Backend, backend)
-	}
-	return res
+	return m
 }
 
-// requireIdentical asserts the two results encode to byte-identical stored
-// suites under the same digest.
-func requireIdentical(t *testing.T, m memmodel.Model, bound int, enum, sat *synth.Result) {
-	t.Helper()
-	se, err := store.Encode(enum)
-	if err != nil {
-		t.Fatalf("encode enum: %v", err)
-	}
-	ss, err := store.Encode(sat)
-	if err != nil {
-		t.Fatalf("encode sat: %v", err)
-	}
-	if se.Manifest.Digest != ss.Manifest.Digest {
-		t.Errorf("%s@%d: digests differ: enum %s, sat %s",
-			m.Name(), bound, se.Manifest.Digest, ss.Manifest.Digest)
-	}
-	if len(se.Texts) != len(ss.Texts) {
-		t.Fatalf("%s@%d: suite count differs: enum %d, sat %d",
-			m.Name(), bound, len(se.Texts), len(ss.Texts))
-	}
-	for name, wantText := range se.Texts {
-		gotText, ok := ss.Texts[name]
-		if !ok {
-			t.Fatalf("%s@%d: sat result missing suite %q", m.Name(), bound, name)
-		}
-		if gotText != wantText {
-			t.Errorf("%s@%d: suite %q text differs between backends", m.Name(), bound, name)
-		}
-		if !reflect.DeepEqual(se.Manifest.Suites[name].Entries, ss.Manifest.Suites[name].Entries) {
-			t.Errorf("%s@%d: suite %q manifest entries differ between backends", m.Name(), bound, name)
-		}
-	}
-	if se.Manifest.Backend != "enum" || ss.Manifest.Backend != "sat" {
-		t.Errorf("%s@%d: manifest backends = %q, %q; want enum, sat",
-			m.Name(), bound, se.Manifest.Backend, ss.Manifest.Backend)
-	}
-}
-
-// TestDifferentialNative drives the natively-encoded models through the
-// SAT guide on every program and demands byte-identical suites and
-// digests against the enumerative backend.
+// TestDifferentialNative holds the SAT pipeline and exhaustive enumeration
+// to the same minimal witnesses on every distinct sc and tso program up
+// to bound 5.
 func TestDifferentialNative(t *testing.T) {
-	forceSAT(t)
 	bound := 5
 	if testing.Short() {
 		bound = 4
 	}
 	for _, name := range []string{"sc", "tso"} {
-		m, err := memmodel.ByName(name)
-		if err != nil {
-			t.Fatal(err)
+		m := builtin(t, name)
+		if n := requireOracleAgrees(t, m, m, bound); n == 0 {
+			t.Errorf("%s@%d: no programs compared", name, bound)
 		}
-		if ok, reason := (backend{}).Supports(m); !ok {
-			t.Fatalf("expected native support for %s, got fallback: %s", name, reason)
-		}
-		requireIdentical(t, m, bound, runBackend(t, m, "enum", bound), runBackend(t, m, "sat", bound))
 	}
 }
 
-// TestDifferentialAllBuiltins covers every builtin at a small bound: the
-// unsupported ones exercise the wholesale enum fallback inside the sat
-// backend, which must still be byte-identical (and still stamped "sat").
+// TestDifferentialAllBuiltins runs the oracle at a small bound on every
+// builtin the encoder supports and requires Candidates to refuse the
+// rest with a reason, so a model gaining or losing encoders is noticed.
 func TestDifferentialAllBuiltins(t *testing.T) {
-	forceSAT(t)
+	native := map[string]bool{"sc": true, "tso": true}
 	for _, m := range memmodel.All() {
-		requireIdentical(t, m, 3, runBackend(t, m, "enum", 3), runBackend(t, m, "sat", 3))
+		if !native[m.Name()] {
+			if err := supported(m); err == nil {
+				t.Errorf("%s: unexpectedly supported by the SAT encoder", m.Name())
+			}
+			continue
+		}
+		requireOracleAgrees(t, m, m, 3)
 	}
 }
 
-// TestDifferentialCatModels compiles the example cat definitions; the SAT
-// backend must fall back (definition-language models are unsupported) and
-// stay byte-identical.
+// TestDifferentialCatModels checks the example cat definitions against
+// the SAT encoding of the same-named builtin: the cat model's exhaustive
+// minimal witnesses must match the builtin's SAT candidates, while
+// Candidates itself refuses the cat model (a redefinition may change
+// semantics the encoder tables cannot see).
 func TestDifferentialCatModels(t *testing.T) {
-	forceSAT(t)
 	files, err := filepath.Glob(filepath.Join("..", "..", "..", "examples", "cat", "*.cat"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no example cat models found: %v", err)
@@ -127,63 +130,9 @@ func TestDifferentialCatModels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
-		if ok, reason := (backend{}).Supports(m); ok {
-			t.Fatalf("%s: expected SAT fallback for cat model, got native support", f)
-		} else if reason == "" {
-			t.Fatalf("%s: fallback with empty reason", f)
+		if err := supported(m); err == nil {
+			t.Fatalf("%s: cat model accepted by the SAT encoder", f)
 		}
-		requireIdentical(t, m, 4, runBackend(t, m, "enum", 4), runBackend(t, m, "sat", 4))
-	}
-}
-
-// TestSATCancellation: the SAT backend honors context deadlines, returning
-// partial suites with Stats.Interrupted and no error.
-func TestSATCancellation(t *testing.T) {
-	forceSAT(t)
-	m, err := memmodel.ByName("tso")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	res, err := synth.SynthesizeContext(ctx, m, synth.Options{MaxEvents: 7, Backend: "sat", Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.Interrupted {
-		t.Error("expected Stats.Interrupted on deadline-bounded sat run")
-	}
-	if res.Backend != "sat" {
-		t.Errorf("Result.Backend = %q, want sat", res.Backend)
-	}
-}
-
-// TestBackendDigestIndependence proves (not just asserts by convention)
-// that backend choice never shifts a store digest, and that unknown names
-// are rejected early with the known-backend list.
-func TestBackendDigestIndependence(t *testing.T) {
-	m, err := memmodel.ByName("tso")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := synth.Options{MaxEvents: 4}
-	withSAT := base
-	withSAT.Backend = "sat"
-	if store.DigestModel(m, base) != store.DigestModel(m, withSAT) {
-		t.Error("Options.Backend changed the store digest")
-	}
-	if got := withSAT.Normalize().Backend; got != "" {
-		t.Errorf("Normalize kept Backend = %q", got)
-	}
-	bad := base
-	bad.Backend = "minisat"
-	err = bad.Validate()
-	if err == nil {
-		t.Fatal("Validate accepted unknown backend")
-	}
-	for _, want := range []string{"minisat", "enum", "sat"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("unknown-backend error %q does not mention %q", err, want)
-		}
+		requireOracleAgrees(t, builtin(t, m.Name()), m, 4)
 	}
 }

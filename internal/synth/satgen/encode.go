@@ -20,13 +20,12 @@ type dyn struct {
 
 // axiomEncoder translates one named axiom into an rml formula over d. Each
 // encoder must be the exact relational transcription of the corresponding
-// Holds predicate in internal/memmodel — the engine re-confirms every
-// candidate with Holds, so a mismatch costs completeness (missed tests),
-// never soundness.
+// Holds predicate in internal/memmodel; the differential tests compare the
+// two, so a mismatch in either shows up as a disagreement.
 type axiomEncoder func(d dyn) rml.Formula
 
 // encoders registers the native encodings per model and axiom name.
-// Supports additionally requires the model to be a built-in, so a
+// Candidates additionally requires the model to be a built-in, so a
 // same-named redefinition can never be routed through these tables.
 var encoders = map[string]map[string]axiomEncoder{
 	"sc": {

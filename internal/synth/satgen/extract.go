@@ -54,8 +54,8 @@ func (enc *progEncoding) extract(m rml.Model) *exec.Execution {
 // order as a lexicographic digit vector: one digit per read (0 for the
 // initial value, then 1+index into the address's writes), then for each
 // address the digit trail of forEachPermutation's swap recursion. Sorting
-// SAT candidates by this rank makes first-wins dedupe pick the same
-// representative the exhaustive path would.
+// SAT candidates by this rank lists them in the order the exhaustive
+// enumerator visits them, so the two can be compared in sequence.
 func rankDigits(x *exec.Execution, enc *progEncoding) []int {
 	digits := make([]int, 0, len(enc.reads)+len(enc.t.Events))
 	for _, r := range enc.reads {

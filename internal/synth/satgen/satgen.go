@@ -1,155 +1,85 @@
-// Package satgen is the SAT-guided synthesis backend: the paper's actual
-// pipeline (Fig. 5c), where minimal litmus tests fall out of a relational
-// model finder instead of exhaustive execution enumeration. For each
-// candidate program it encodes the per-program minimality criterion — some
+// Package satgen is the paper's SAT pipeline (Fig. 5c), kept as a test
+// oracle for the enumeration engine: minimal litmus tests fall out of a
+// relational model finder instead of exhaustive execution enumeration.
+// For one program it encodes the per-program minimality criterion — some
 // relaxation-bounded execution is forbidden, and every strictly-weaker
 // perturbation of it is observable — as one internal/rml problem over
 // internal/sat, and enumerates the satisfying executions with blocking
 // clauses on an incrementally-solved instance.
 //
-// The backend plugs into the shared synth engine as a ProgramGuide:
-// generation, symmetry dedupe, and suite merging are untouched, and every
-// SAT-proposed candidate is re-confirmed by the exhaustive minimality
-// checker (which also attributes the violated axioms), so suites and store
-// digests are byte-identical to the enum backend's. Programs whose
-// execution space is small enough that exhaustive enumeration beats
-// encoding are declined back to the enum path, as are models the encoder
-// does not support (those fall back wholesale, with the daemon logging a
-// warning).
+// No binary links this package; its differential tests compare
+// Candidates against exhaustive enumeration plus the minimality checker.
 package satgen
 
 import (
-	"context"
+	"errors"
 	"fmt"
-	"os"
-	"strconv"
 
 	"memsynth/internal/exec"
 	"memsynth/internal/litmus"
 	"memsynth/internal/memmodel"
-	"memsynth/internal/synth"
 )
 
-// BackendName is the registered name of this backend.
-const BackendName = "sat"
-
-// execThreshold is the candidate-execution count below which a program is
-// declined to the exhaustive path: encoding plus solving has a fixed cost
-// of a few hundred microseconds per program, so small execution spaces are
-// cheaper to enumerate directly. The value was tuned on the TSO bound-7
-// workload, where programs above this threshold hold ~1/3 of all
-// executions in ~1% of the programs.
-var execThreshold = 512
-
-// maxConflictsPerSolve bounds each incremental solve; a program whose
-// encoding turns out pathologically hard is declined to the exhaustive
-// path rather than stalling a worker. In practice these instances (≤ 8
-// events) resolve in well under a thousand conflicts.
+// maxConflictsPerSolve bounds each incremental solve so a pathologically
+// hard encoding fails with an error instead of hanging a test. In practice
+// these instances (≤ 8 events) resolve in well under a thousand conflicts.
 const maxConflictsPerSolve = 100_000
 
-type backend struct{}
-
-func init() {
-	// MEMSYNTH_SAT_THRESHOLD overrides the hand-off point for tuning and
-	// benchmarking; the output is identical at any value, only speed moves.
-	if v := os.Getenv("MEMSYNTH_SAT_THRESHOLD"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			execThreshold = n
-		}
+// Candidates encodes the minimality criterion for program t under model m
+// and returns every satisfying execution, ordered by the rank
+// exec.Enumerate would visit them in. Only built-in Go models whose axioms
+// all have registered encoders are supported (sc and tso); anything else
+// is an error, as is a solve that exceeds the conflict budget.
+func Candidates(m memmodel.Model, t *litmus.Test) ([]*exec.Execution, error) {
+	if err := supported(m); err != nil {
+		return nil, err
 	}
-	synth.RegisterBackend(backend{})
-}
-
-func (backend) Name() string { return BackendName }
-
-// Synthesize runs the shared engine with the SAT guide for natively
-// supported models, and falls back to the exhaustive path wholesale
-// otherwise; either way the result is stamped as this backend's.
-func (b backend) Synthesize(ctx context.Context, m memmodel.Model, opts synth.Options) (*synth.Result, error) {
-	var factory synth.GuideFactory
-	if ok, _ := b.Supports(m); ok {
-		factory = func() synth.ProgramGuide { return newGuide(m) }
-	}
-	res, err := synth.SynthesizeWithGuide(ctx, m, opts, factory)
-	if res != nil {
-		res.Backend = BackendName
-	}
-	return res, err
-}
-
-// Supports reports whether model m gets the native SAT encoding. The check
-// is conservative: only built-in Go models whose axioms all have
-// registered encoders qualify; definition-language models (cat) fall back
-// even under a supported name, since a redefinition may change semantics
-// the encoder tables cannot see.
-func (backend) Supports(m memmodel.Model) (bool, string) {
-	if src, _ := memmodel.SourceOf(m); src != "builtin" {
-		return false, fmt.Sprintf("%s-defined models are not yet supported by the SAT encoder", src)
-	}
-	table, ok := encoders[m.Name()]
-	if !ok {
-		return false, fmt.Sprintf("model %s has no SAT axiom encodings", m.Name())
-	}
-	if m.Vocab().UsesSC {
-		return false, "sc-fence total orders are not yet encoded"
-	}
-	for _, a := range m.Axioms() {
-		if table[a.Name] == nil {
-			return false, fmt.Sprintf("axiom %s has no SAT encoding", a.Name)
-		}
-	}
-	return true, ""
-}
-
-// guide is one worker's ProgramGuide: it owns no cross-program solver
-// state (each program compiles its own instance), but the per-worker
-// instantiation keeps the door open for scratch reuse.
-type guide struct {
-	m     memmodel.Model
-	table map[string]axiomEncoder
-}
-
-func newGuide(m memmodel.Model) *guide {
-	return &guide{m: m, table: encoders[m.Name()]}
-}
-
-// Candidates encodes the minimality criterion for t and enumerates the
-// satisfying executions, ordered by the rank the exhaustive enumerator
-// would visit them in. It declines programs below the execution-count
-// threshold and any program whose solve exceeds the conflict budget.
-func (g *guide) Candidates(t *litmus.Test, stop func() bool) ([]*exec.Execution, bool) {
-	if exec.CountExecutions(t, exec.EnumerateOptions{}) < execThreshold {
-		return nil, false
-	}
-	if stop() {
-		return nil, false
-	}
-	enc, err := encodeProgram(g.m, g.table, t)
+	enc, err := encodeProgram(m, encoders[m.Name()], t)
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
 	in, err := enc.prob.Compile()
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
 	in.SetMaxConflicts(maxConflictsPerSolve)
 	var cands []*exec.Execution
 	for {
-		if stop() {
-			return nil, false
-		}
-		m, ok, err := in.Solve()
+		model, ok, err := in.Solve()
 		if err != nil {
-			return nil, false // budget exhausted (or solver error): decline
+			return nil, err
 		}
 		if !ok {
 			break
 		}
-		cands = append(cands, enc.extract(m))
-		if !in.Block(m) {
+		cands = append(cands, enc.extract(model))
+		if !in.Block(model) {
 			break
 		}
 	}
 	sortByEnumerationRank(cands, enc)
-	return cands, true
+	return cands, nil
+}
+
+// supported rejects models the encoder tables cannot represent. The check
+// is conservative: definition-language models (cat) are rejected even
+// under a supported name, since a redefinition may change semantics the
+// encoder tables cannot see.
+func supported(m memmodel.Model) error {
+	if src, _ := memmodel.SourceOf(m); src != "builtin" {
+		return fmt.Errorf("satgen: %s-defined models are not supported by the SAT encoder", src)
+	}
+	table, ok := encoders[m.Name()]
+	if !ok {
+		return fmt.Errorf("satgen: model %s has no SAT axiom encodings", m.Name())
+	}
+	if m.Vocab().UsesSC {
+		return errors.New("satgen: sc-fence total orders are not encoded")
+	}
+	for _, a := range m.Axioms() {
+		if table[a.Name] == nil {
+			return fmt.Errorf("satgen: axiom %s has no SAT encoding", a.Name)
+		}
+	}
+	return nil
 }

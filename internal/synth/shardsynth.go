@@ -78,8 +78,7 @@ type ShardResult struct {
 // the deduped program stream: generation and dedupe run in full (their
 // output is deterministic, so every shard computes the identical winner
 // list), and only winners with per-size index ≡ shard.Index (mod
-// shard.Stride) are explored. Shards always run the exhaustive
-// enumeration engine (Options.Backend is ignored); cancellation returns
+// shard.Stride) are explored. Cancellation returns
 // a partial result with Stats.Interrupted set, which MergeShards
 // rejects — an interrupted shard must be retried, never merged.
 func SynthesizeShard(ctx context.Context, m memmodel.Model, opts Options, shard ShardSpec) (*ShardResult, error) {
@@ -267,7 +266,6 @@ func MergeShards(m memmodel.Model, opts Options, shards []*ShardResult) (*Result
 	res := &Result{
 		Model:    m.Name(),
 		Options:  opts,
-		Backend:  "cluster",
 		PerAxiom: make(map[string]*Suite),
 		Union:    newSuite(m.Name(), "union"),
 	}

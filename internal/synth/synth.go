@@ -159,18 +159,14 @@ type Result struct {
 	// definition ("" for built-ins). The store folds it into suite
 	// digests so same-named but different definitions never collide.
 	ModelDigest string
-	// Backend names the backend that produced this result ("enum",
-	// "sat", ...). It is provenance only: every backend produces
-	// byte-identical suites, so it is excluded from store digests.
-	Backend string
 	// Admit records whether the fast-admissibility filter ran: "fast"
 	// when active, "off" when disabled by Options.Admit or unsupported by
-	// the model (internal/admit). Like Backend it is provenance only and
-	// excluded from store digests.
+	// the model (internal/admit). It is provenance only and excluded from
+	// store digests.
 	Admit    string
 	PerAxiom map[string]*Suite
-	Union       *Suite
-	Stats       Stats
+	Union    *Suite
+	Stats    Stats
 }
 
 // AxiomNames returns the axiom suite names in sorted order.
@@ -202,8 +198,7 @@ func Synthesize(m memmodel.Model, opts Options) *Result {
 	return res
 }
 
-// SynthesizeContext runs minimal-test synthesis for model m on the backend
-// selected by opts.Backend ("" means DefaultBackend), honoring ctx
+// SynthesizeContext runs minimal-test synthesis for model m, honoring ctx
 // cancellation and deadline. A cancelled run stops promptly and returns
 // the suites synthesized so far with Stats.Interrupted set (and a nil
 // error — partial results are results). The only error returned is an
@@ -212,11 +207,7 @@ func SynthesizeContext(ctx context.Context, m memmodel.Model, opts Options) (*Re
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	b, err := BackendByName(opts.Backend)
-	if err != nil {
-		return nil, err
-	}
-	return b.Synthesize(ctx, m, opts)
+	return newEngine(m, opts.withDefaults()).run(ctx), nil
 }
 
 // engine holds one synthesis run's shared state. Counters are atomics so
@@ -248,11 +239,6 @@ type engine struct {
 
 	seenEntry     *shardedSet
 	seenForbidden *shardedSet
-
-	// guideFactory, when non-nil, supplies each explore worker with a
-	// ProgramGuide that proposes candidate executions instead of
-	// exhaustive enumeration (see SynthesizeWithGuide).
-	guideFactory GuideFactory
 
 	start time.Time
 	prog  *progressSink
@@ -427,16 +413,12 @@ func (e *engine) explore(winners []progClaim) [][]foundEntry {
 			if e.admitOn {
 				adm = admit.NewChecker(e.model)
 			}
-			var guide ProgramGuide
-			if e.guideFactory != nil {
-				guide = e.guideFactory()
-			}
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= len(winners) || e.stopped.Load() {
 					return
 				}
-				results[i] = e.processProgram(checker, adm, guide, winners[i].test)
+				results[i] = e.processProgram(checker, adm, winners[i].test)
 			}
 		}()
 	}
@@ -462,20 +444,10 @@ func (e *engine) merge(results [][]foundEntry) {
 // its own. A non-nil adm filters reads-from assignments before their
 // coherence orders are enumerated: a refuted assignment's extensions are
 // counted as fast-decided instead of visited (the filter is sound, so
-// every finding an unfiltered run makes survives). When a guide is
-// supplied and accepts the program, only its candidates are checked; a
-// declined program falls back to exhaustive enumeration. On cancellation
+// every finding an unfiltered run makes survives). On cancellation
 // mid-program the partial findings are discarded (counters keep what was
 // actually checked).
-func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, g ProgramGuide, t *litmus.Test) []foundEntry {
-	if g != nil {
-		if found, ok := e.processProgramGuided(c, g, t); ok {
-			return found
-		}
-		if e.stopped.Load() {
-			return nil
-		}
-	}
+func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmus.Test) []foundEntry {
 	c.Bind(t)
 	var found []foundEntry
 	var execs, fastExecs, minNS, dedupeNS int64
@@ -555,71 +527,4 @@ func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, g Progra
 		return nil
 	}
 	return found
-}
-
-// processProgramGuided checks the guide's proposed candidates for t,
-// re-confirming each with the full minimality checker so a guide can never
-// introduce a wrong entry, only miss or reorder one (which the rank-order
-// contract of ProgramGuide rules out). The second result is false when the
-// guide declined the program and the exhaustive path should run instead.
-func (e *engine) processProgramGuided(c *minimal.Checker, g ProgramGuide, t *litmus.Test) ([]foundEntry, bool) {
-	t0 := time.Now()
-	cands, ok := g.Candidates(t, e.stopped.Load)
-	guideNS := int64(time.Since(t0))
-	if !ok {
-		// Solver time spent before declining still counts as execution
-		// stage work.
-		e.execNS.Add(guideNS)
-		return nil, false
-	}
-	c.Bind(t)
-	var found []foundEntry
-	var execs, minNS, dedupeNS int64
-	completed := true
-	for _, x := range cands {
-		if e.stopped.Load() {
-			completed = false
-			break
-		}
-		execs++
-		m0 := time.Now()
-		verdict := c.Check(x)
-		minNS += int64(time.Since(m0))
-		if len(verdict.ViolatedAxioms) == 0 {
-			continue
-		}
-		var key string
-		if e.seenForbidden != nil {
-			d0 := time.Now()
-			key = canon.Key(x)
-			if e.seenForbidden.Claim(key) {
-				e.forbidden.Add(1)
-			}
-			dedupeNS += int64(time.Since(d0))
-		}
-		mins := verdict.MinimalFor()
-		if len(mins) == 0 {
-			continue
-		}
-		d0 := time.Now()
-		if key == "" {
-			key = canon.Key(x)
-		}
-		if e.seenEntry.Claim(key) {
-			e.entries.Add(1)
-		}
-		dedupeNS += int64(time.Since(d0))
-		found = append(found, foundEntry{
-			axioms: append([]int(nil), mins...),
-			entry:  Entry{Test: t, Exec: x.Clone(), Key: key, Size: len(t.Events)},
-		})
-	}
-	e.execNS.Add(guideNS)
-	e.minNS.Add(minNS)
-	e.dedupeNS.Add(dedupeNS)
-	e.executions.Add(execs)
-	if !completed {
-		return nil, true
-	}
-	return found, true
 }

@@ -29,9 +29,10 @@
 // criterion (internal/minimal), symmetry reduction (internal/canon), the
 // synthesis engine (internal/synth), baseline suites and subtest
 // containment (internal/suites), a diy-style cycle generator
-// (internal/diy), an operational x86-TSO machine (internal/tsosim), and a
-// bounded relational model finder over a CDCL SAT solver
-// (internal/rml, internal/sat) standing in for Alloy/Kodkod/MiniSAT.
+// (internal/diy), and an operational x86-TSO machine (internal/tsosim). A
+// bounded relational model finder over a CDCL SAT solver (internal/rml,
+// internal/sat), standing in for Alloy/Kodkod/MiniSAT, is kept as a test
+// oracle for the enumeration engine (internal/synth/satgen).
 package memsynth
 
 import (
@@ -52,11 +53,6 @@ import (
 	"memsynth/internal/suites"
 	"memsynth/internal/synth"
 	"memsynth/internal/tsosim"
-
-	// Register the SAT-guided synthesis backend ("sat") alongside the
-	// enumerative default, so Options.Backend and the CLI/daemon -backend
-	// selection can reach it.
-	_ "memsynth/internal/synth/satgen"
 )
 
 // Re-exported core types. The aliases make the internal types part of the
@@ -214,29 +210,6 @@ const (
 	PhaseTick     = synth.PhaseTick
 	PhaseDone     = synth.PhaseDone
 )
-
-// SynthBackend is one synthesis engine implementation. All backends
-// produce byte-identical suites for the same (model, Options); they differ
-// only in how they search. Select one via Options.Backend.
-type SynthBackend = synth.Backend
-
-// DefaultBackend is the backend used when Options.Backend is empty
-// (the exhaustive enumeration engine).
-const DefaultBackend = synth.DefaultBackend
-
-// Backends returns the registered synthesis backend names, sorted
-// (currently "enum", the exhaustive engine, and "sat", the SAT-guided
-// minimality search over internal/rml and internal/sat).
-func Backends() []string { return synth.Backends() }
-
-// BackendByName resolves a registered synthesis backend ("" means
-// DefaultBackend); the error for an unknown name lists the known ones.
-func BackendByName(name string) (SynthBackend, error) { return synth.BackendByName(name) }
-
-// RegisterBackend adds a custom synthesis backend, making it selectable by
-// name through Options.Backend, the CLIs' -backend flag, and the daemon's
-// "backend" request field.
-func RegisterBackend(b SynthBackend) { synth.RegisterBackend(b) }
 
 // Synthesize exhaustively generates the minimal litmus-test suites of the
 // model within the given bounds (paper §5). It is a thin wrapper over
