@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build test vet race lint analyze bench bench-paper fuzz serve cluster cluster-test stress
+.PHONY: check fmt build test vet race lint analyze bench bench-compare bench-paper fuzz serve cluster cluster-test stress
 
 check: fmt vet build race lint
 
@@ -69,6 +69,16 @@ bench:
 		$(GO) test -count=1 -timeout 30m -run '^TestBenchAdmit$$' -v ./internal/admit
 	BENCH_JSON=$(abspath $(BENCH_OUT)) BENCH_SHORT=$(BENCH_SHORT) \
 		$(GO) test -count=1 -run '^TestBenchStress$$' -v ./internal/stress
+
+# Compare two sets of perfbench runs (BENCHMARK.json's harness): OLD and
+# NEW are files or directories holding `bash perfbench/run.sh --workload W
+# ...` output. Prints per workload each end-to-end metric's medians,
+# quartiles, paired wins and verdict, then the traced runs' per-layer
+# deltas. Perf PRs quote it in CHANGES.md:
+#   make bench-compare OLD=runs/parent NEW=runs/change
+bench-compare:
+	@if [ -z "$(OLD)" ] || [ -z "$(NEW)" ]; then echo "usage: make bench-compare OLD=<runs> NEW=<runs>"; exit 2; fi
+	bash perfbench/run.sh compare $(OLD) $(NEW)
 
 # The original package-level micro-benchmarks (paper-facing API).
 bench-paper:

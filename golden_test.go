@@ -124,8 +124,8 @@ func TestGolden(t *testing.T) {
 			}
 			path := filepath.Join(dir, c.file)
 			got := runGolden(t, c)
-			if c.file == "tso-6.json" {
-				checkPaperCounts(t, got)
+			if want, ok := paperSeries[c.model][c.bound]; ok && c.source == "builtin" {
+				checkSeries(t, got, want)
 			}
 			data, err := os.ReadFile(path)
 			var want goldenRecord
@@ -156,13 +156,48 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// checkPaperCounts pins the paper-facing suite sizes reported in
-// EXPERIMENTS.md independently of the corpus files: at bound 6 the TSO
-// union has 49 tests (causality 41, rmw_atomicity 4, sc_per_loc 10).
-func checkPaperCounts(t *testing.T, rec goldenRecord) {
+// seriesPoint is one bound of a paper figure's per-axiom series.
+type seriesPoint struct {
+	union    int
+	perAxiom map[string]int
+}
+
+// paperSeries pins paper-facing suite sizes reported in EXPERIMENTS.md
+// independently of the corpus files: the TSO union at bound 6 (causality
+// 41, rmw_atomicity 4, sc_per_loc 10) and the Fig. 16 (Power) and Fig. 20
+// (SCC) per-axiom series at bounds 2-4. Points with a corpus case are
+// checked inside TestGolden on its run, bounds 2 and 3 by TestPaperSeries.
+var paperSeries = map[string]map[int]seriesPoint{
+	"tso": {
+		6: {49, map[string]int{"causality": 41, "rmw_atomicity": 4, "sc_per_loc": 10}},
+	},
+	"power": {
+		2: {3, map[string]int{"no_thin_air": 0, "observation": 0, "propagation": 0, "rmw_atomicity": 0, "sc_per_loc": 3}},
+		3: {8, map[string]int{"no_thin_air": 0, "observation": 0, "propagation": 0, "rmw_atomicity": 1, "sc_per_loc": 7}},
+		4: {20, map[string]int{"no_thin_air": 6, "observation": 0, "propagation": 0, "rmw_atomicity": 4, "sc_per_loc": 10}},
+	},
+	"scc": {
+		2: {3, map[string]int{"causality": 0, "no_thin_air": 0, "rmw_atomicity": 0, "sc_per_loc": 3}},
+		3: {8, map[string]int{"causality": 0, "no_thin_air": 0, "rmw_atomicity": 1, "sc_per_loc": 7}},
+		4: {18, map[string]int{"causality": 3, "no_thin_air": 1, "rmw_atomicity": 4, "sc_per_loc": 10}},
+	},
+}
+
+func checkSeries(t *testing.T, rec goldenRecord, want seriesPoint) {
 	t.Helper()
-	want := map[string]int{"causality": 41, "rmw_atomicity": 4, "sc_per_loc": 10}
-	if !reflect.DeepEqual(rec.PerAxiom, want) || rec.Union != 49 {
-		t.Errorf("tso@6: union %d, per axiom %v; want union 49, per axiom %v", rec.Union, rec.PerAxiom, want)
+	if rec.Union != want.union || !reflect.DeepEqual(rec.PerAxiom, want.perAxiom) {
+		t.Errorf("%s@%d: union %d, per axiom %v; want union %d, per axiom %v",
+			rec.Model, rec.Bound, rec.Union, rec.PerAxiom, want.union, want.perAxiom)
+	}
+}
+
+// TestPaperSeries checks the small bounds of the Fig. 16 and Fig. 20
+// series, which the golden corpus does not record.
+func TestPaperSeries(t *testing.T) {
+	for _, model := range []string{"power", "scc"} {
+		for _, bound := range []int{2, 3} {
+			rec := runGolden(t, goldenCase{source: "builtin", model: model, bound: bound})
+			checkSeries(t, rec, paperSeries[model][bound])
+		}
 	}
 }

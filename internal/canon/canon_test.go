@@ -112,7 +112,7 @@ func TestProgramKeyThreadPermutation(t *testing.T) {
 	// Swap threads and addresses (paper Fig. 9).
 	swapped, _ := permuteTest(mp, nil, []int{1, 0}, []int{1, 0})
 	if ProgramKey(mp) != ProgramKey(swapped) {
-		t.Errorf("thread/address-swapped MP has different key:\n%s\n%s",
+		t.Errorf("thread/address-swapped MP has different key:\n%x\n%x",
 			ProgramKey(mp), ProgramKey(swapped))
 	}
 }
@@ -173,7 +173,7 @@ func TestWWCSymmetry(t *testing.T) {
 	// permutation search must merge them (the paper's canonicalizer did
 	// not).
 	if ProgramKey(wwc(false)) != ProgramKey(wwc(true)) {
-		t.Errorf("WWC variants not merged:\n%s\n%s",
+		t.Errorf("WWC variants not merged:\n%x\n%x",
 			ProgramKey(wwc(false)), ProgramKey(wwc(true)))
 	}
 }

@@ -318,7 +318,12 @@ func RelaxationTags(m Model) []string { return memmodel.RelaxationTags(m) }
 // CanonicalKey returns the symmetry-class key of a (test, execution) pair.
 func CanonicalKey(x *Execution) string { return canon.Key(x) }
 
-// CanonicalProgramKey returns the symmetry-class key of a program.
+// CanonicalProgramKey returns the symmetry-class key of a program: two
+// programs share it exactly when they differ by a permutation of threads,
+// a renaming of addresses and a renaming of scope groups. The key is opaque
+// binary meant for equality only: it is not printable, and it may change
+// across EngineVersions, so do not store or display it. CanonicalKey, the
+// execution key, is the printable one.
 func CanonicalProgramKey(t *Test) string { return canon.ProgramKey(t) }
 
 // OwensSuite returns the reconstructed x86-TSO baseline suite (paper §6.1).
