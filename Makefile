@@ -1,12 +1,13 @@
 # Developer and CI entry points. `make check` is the gate every PR must
-# pass: gofmt, vet, build, and the full test suite under the race detector (the
-# synthesis engine is concurrent; -race keeps it honest).
+# pass: gofmt, vet, build, the full test suite under the race detector (the
+# synthesis engine is concurrent; -race keeps it honest), and the axiom gate
+# without it.
 
 GO ?= go
 
-.PHONY: check fmt build test vet race lint analyze bench bench-compare bench-paper fuzz serve cluster cluster-test stress
+.PHONY: check fmt build test vet race axioms lint analyze bench bench-compare bench-paper fuzz serve cluster cluster-test stress
 
-check: fmt vet build race lint
+check: fmt vet build race axioms lint
 
 # fmt fails when any Go file is not gofmt-clean.
 fmt:
@@ -52,6 +53,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The axiom gate without -race (CI runs the same step): the oracle
+# differential against the frozen allocating formulas, and the guard that
+# builtin axioms evaluate without allocating, which skips under -race.
+axioms:
+	$(GO) test -count=1 -run 'TestAxiomOracle|TestAxiomsAllocFree|TestQuick' ./internal/memmodel ./internal/relation
 
 # Benchmark snapshot: full synthesis + isolated explore-phase measurements
 # per model, written as machine-readable JSON (committed as BENCH_synth.json

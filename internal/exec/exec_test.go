@@ -346,24 +346,21 @@ func TestViewSCRel(t *testing.T) {
 		SC:   []int{1, 4},
 	}
 	v := NewView(x, NoPerturb)
-	if !v.SCRel(false).Has(1, 4) || v.SCRel(false).Has(4, 1) {
-		t.Errorf("SCRel = %v", v.SCRel(false))
-	}
-	if !v.SCRel(true).Has(4, 1) {
-		t.Errorf("SCRel reversed = %v", v.SCRel(true))
+	if !v.SCRel().Has(1, 4) || v.SCRel().Has(4, 1) {
+		t.Errorf("SCRel = %v", v.SCRel())
 	}
 	if v.SCEdgeCount() != 1 {
 		t.Errorf("SCEdgeCount = %d", v.SCEdgeCount())
 	}
 	// A fence demoted out of FSC leaves the order.
 	v = NewView(x, Perturb{Kind: PDF, Event: 1, NewFence: litmus.FAcqRel})
-	if !v.SCRel(false).IsEmpty() {
-		t.Errorf("SCRel after DF = %v", v.SCRel(false))
+	if !v.SCRel().IsEmpty() {
+		t.Errorf("SCRel after DF = %v", v.SCRel())
 	}
 	// An RI'd fence leaves the order.
 	v = NewView(x, Perturb{Kind: PRI, Event: 4})
-	if !v.SCRel(false).IsEmpty() {
-		t.Errorf("SCRel after RI = %v", v.SCRel(false))
+	if !v.SCRel().IsEmpty() {
+		t.Errorf("SCRel after RI = %v", v.SCRel())
 	}
 }
 

@@ -116,7 +116,7 @@ type StaticCtx struct {
 	// of an initial read).
 	liveWrites []relation.Set
 
-	memo map[string]any // StaticMemo storage
+	memo memo // StaticMemo storage
 }
 
 // NewStaticCtx computes the static relations of test t under perturbation
@@ -144,10 +144,12 @@ func NewStaticCtx(t *litmus.Test, p Perturb) *StaticCtx {
 		}
 	}
 
+	// One slab backs every static relation.
+	rels := relation.NewMany(c.n, 6+len(c.dep))
+	c.po, c.poLoc, c.sameAddr, c.ext, c.rmw, c.depAll = rels[0], rels[1], rels[2], rels[3], rels[4], rels[5]
+	copy(c.dep[:], rels[6:])
+
 	// Program order (transitive) and same-address, restricted to live.
-	c.po = relation.New(c.n)
-	c.sameAddr = relation.New(c.n)
-	c.ext = relation.New(c.n)
 	for _, a := range t.Events {
 		if !c.live.Has(a.ID) {
 			continue
@@ -167,7 +169,8 @@ func NewStaticCtx(t *litmus.Test, p Perturb) *StaticCtx {
 			}
 		}
 	}
-	c.poLoc = c.po.Intersect(c.sameAddr)
+	c.poLoc.CopyFrom(c.po)
+	c.poLoc.IntersectWith(c.sameAddr)
 
 	// Live writes per address, for the fr edges of initial reads.
 	c.liveWrites = make([]relation.Set, t.NumAddrs())
@@ -180,7 +183,6 @@ func NewStaticCtx(t *litmus.Test, p Perturb) *StaticCtx {
 	// rmw: pairs with both endpoints live; a pair is dissolved by PDRMW on
 	// its read and by PRD on its read (removing the data dependency that
 	// links the pair — paper Fig. 6 rmw_p).
-	c.rmw = relation.New(c.n)
 	for _, pair := range t.RMW {
 		r, w := pair[0], pair[1]
 		if !c.live.Has(r) || !c.live.Has(w) {
@@ -196,9 +198,6 @@ func NewStaticCtx(t *litmus.Test, p Perturb) *StaticCtx {
 	// each RMW pair. PRD removes all deps originating at the event. PDRMW
 	// keeps the pair's data dependency (paper §3.2: "The po_loc and data
 	// dependencies between the load and the store remain in effect").
-	for i := range c.dep {
-		c.dep[i] = relation.New(c.n)
-	}
 	addDep := func(d litmus.Dep) {
 		if !c.live.Has(d.From) || !c.live.Has(d.To) {
 			return
@@ -214,7 +213,9 @@ func NewStaticCtx(t *litmus.Test, p Perturb) *StaticCtx {
 	for _, pair := range t.RMW {
 		addDep(litmus.Dep{From: pair[0], To: pair[1], Type: litmus.DepData})
 	}
-	c.depAll = c.dep[litmus.DepAddr].Union(c.dep[litmus.DepData]).Union(c.dep[litmus.DepCtrl])
+	for _, d := range c.dep {
+		c.depAll.UnionWith(d)
+	}
 
 	return c
 }
@@ -228,6 +229,7 @@ const (
 	derFRE
 	derFRI
 	derCom
+	derSC
 	derCount
 )
 
@@ -248,18 +250,17 @@ type View struct {
 	der   [derCount]relation.Rel
 	derOK uint8
 
-	memo map[string]any
+	memo memo
 }
 
 // NewView allocates a view bound to this context, with its own dynamic
 // scratch buffers; call Reset to point it at an execution.
 func (c *StaticCtx) NewView() *View {
-	return &View{
-		c:  c,
-		rf: relation.New(c.n),
-		co: relation.New(c.n),
-		fr: relation.New(c.n),
-	}
+	v := &View{c: c}
+	rels := relation.NewMany(c.n, 3+derCount)
+	v.rf, v.co, v.fr = rels[0], rels[1], rels[2]
+	copy(v.der[:], rels[3:])
+	return v
 }
 
 // NewView builds the relational view of execution x under perturbation p.
@@ -282,9 +283,8 @@ func (v *View) Reset(x *Execution) {
 	}
 	v.x = x
 	v.derOK = 0
-	if v.memo != nil {
-		clear(v.memo)
-	}
+	clear(v.memo)
+	v.memo = v.memo[:0]
 
 	// rf, recording orphaned reads (source removed by RI): such reads are
 	// left unconstrained — they contribute neither rf nor fr edges
@@ -343,15 +343,7 @@ func (v *View) Reset(x *Execution) {
 // relations (e.g. Power's preserved-program-order fixpoint) across the
 // axioms evaluated against one view. The cache is invalidated by Reset.
 func (v *View) Memo(key string, build func() any) any {
-	if v.memo == nil {
-		v.memo = make(map[string]any)
-	}
-	if val, ok := v.memo[key]; ok {
-		return val
-	}
-	val := build()
-	v.memo[key] = val
-	return val
+	return v.memo.get(key, build)
 }
 
 // StaticMemo caches build's value in the view's static context: it
@@ -360,24 +352,34 @@ func (v *View) Memo(key string, build func() any) any {
 // po, dependencies, event classes, effective orders/fences/scopes — never
 // on rf, co, fr, orphans, or the sc order.
 func (v *View) StaticMemo(key string, build func() any) any {
-	c := v.c
-	if c.memo == nil {
-		c.memo = make(map[string]any)
+	return v.c.memo.get(key, build)
+}
+
+// memo is the storage behind Memo and StaticMemo. A model keeps a handful
+// of entries per view, so a linear scan beats hashing, and once grown the
+// slice serves every later Reset without allocating.
+type memo []memoEntry
+
+type memoEntry struct {
+	key string
+	val any
+}
+
+func (m *memo) get(key string, build func() any) any {
+	for _, e := range *m {
+		if e.key == key {
+			return e.val
+		}
 	}
-	if val, ok := c.memo[key]; ok {
-		return val
-	}
+	// build may itself memoize, so append only after it returns.
 	val := build()
-	c.memo[key] = val
+	*m = append(*m, memoEntry{key, val})
 	return val
 }
 
 // derived lazily computes cache slot k with build on first use per Reset.
 func (v *View) derived(k uint8, build func(dst relation.Rel)) relation.Rel {
 	if v.derOK&(1<<k) == 0 {
-		if v.der[k].N() != v.c.n {
-			v.der[k] = relation.New(v.c.n)
-		}
 		build(v.der[k])
 		v.derOK |= 1 << k
 	}
@@ -575,39 +577,33 @@ func (v *View) FenceRel(ks ...litmus.FenceKind) relation.Rel {
 
 // SCRel returns the strict total order over live FSC fences induced by the
 // execution's SC permutation, honoring DF demotions (a demoted fence leaves
-// the order). If reversed is set, the order is reversed — used by the SCC
-// workaround of paper Fig. 19.
-func (v *View) SCRel(reversed bool) relation.Rel {
-	r := relation.New(v.c.n)
-	if v.x.SC == nil {
-		return r
-	}
-	inOrder := func(id int) bool {
-		return v.c.live.Has(id) && v.FenceOf(id) == litmus.FSC
-	}
-	for i := 0; i < len(v.x.SC); i++ {
-		if !inOrder(v.x.SC[i]) {
-			continue
+// the order). Like the other derived relations it lives in a pooled slot,
+// valid until the next Reset.
+func (v *View) SCRel() relation.Rel {
+	return v.derived(derSC, func(dst relation.Rel) {
+		dst.Clear()
+		sc := v.x.SC
+		inOrder := func(id int) bool {
+			return v.c.live.Has(id) && v.FenceOf(id) == litmus.FSC
 		}
-		for j := i + 1; j < len(v.x.SC); j++ {
-			if !inOrder(v.x.SC[j]) {
+		for i := 0; i < len(sc); i++ {
+			if !inOrder(sc[i]) {
 				continue
 			}
-			if reversed {
-				r.Add(v.x.SC[j], v.x.SC[i])
-			} else {
-				r.Add(v.x.SC[i], v.x.SC[j])
+			for j := i + 1; j < len(sc); j++ {
+				if inOrder(sc[j]) {
+					dst.Add(sc[i], sc[j])
+				}
 			}
 		}
-	}
-	return r
+	})
 }
 
 // SCEdgeCount returns the number of edges in the (unperturbed) sc order —
 // used to decide whether the Fig. 19 workaround (which requires at most one
 // sc edge) applies.
 func (v *View) SCEdgeCount() int {
-	return v.SCRel(false).Size()
+	return v.SCRel().Size()
 }
 
 // ScopeCompatible returns the relation containing pairs (a, b) whose scopes

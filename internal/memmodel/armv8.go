@@ -26,7 +26,7 @@ import (
 func ARMv8() Model {
 	return &model{
 		name:   "armv8",
-		axioms: armv8Axioms(),
+		axioms: powerAxioms(archARMv8),
 		vocab: Vocab{
 			Ops: []litmus.Op{
 				litmus.R(0), litmus.Racq(0),
@@ -56,7 +56,8 @@ func ARMv8() Model {
 
 // armv8Order computes the acquire/release ordering edges: an acquire load
 // is ordered before every po-later access; every po-earlier access is
-// ordered before a release store.
+// ordered before a release store. The ARMv8 derivation folds them into the
+// fence relation, so they participate in hb and propagation.
 func armv8Order(v *exec.View) relation.Rel {
 	acq := v.Where(func(id int) bool {
 		return v.Reads().Has(id) && v.OrderOf(id) == litmus.OAcquire
@@ -65,61 +66,4 @@ func armv8Order(v *exec.View) relation.Rel {
 		return v.Writes().Has(id) && v.OrderOf(id) == litmus.ORelease
 	})
 	return v.PO().RestrictDomain(acq).Union(v.PO().RestrictRange(rel))
-}
-
-// deriveARMv8 augments the ARMv7 (Power-skeleton) derivation with the
-// acquire/release edges folded into the fence relation, so they
-// participate in hb and propagation.
-func deriveARMv8(v *exec.View) *powerDerived {
-	return v.Memo("armv8", func() any {
-		base := derivePower(v, true)
-		ar := armv8Order(v)
-		fences := base.fences.Union(ar)
-		hb := base.ppo.Union(fences).Union(v.RFE())
-		hbRT := hb.ReflexiveClosure()
-		n := v.N()
-		ww := relation.Cross(n, v.Writes(), v.Writes())
-		propBase := fences.Union(v.RFE().Join(fences)).Join(hbRT)
-		comRT := v.Com().ReflexiveClosure()
-		prop := ww.Intersect(propBase).
-			Union(comRT.Join(propBase.ReflexiveClosure()).Join(base.ffence).Join(hbRT))
-		return &powerDerived{ppo: base.ppo, fences: fences, ffence: base.ffence, hb: hb, prop: prop}
-	}).(*powerDerived)
-}
-
-func armv8Axioms() []Axiom {
-	return []Axiom{
-		{
-			Name: "sc_per_loc",
-			Holds: func(v *exec.View) bool {
-				return v.Com().Union(v.POLoc()).Acyclic()
-			},
-		},
-		{
-			Name: "rmw_atomicity",
-			Holds: func(v *exec.View) bool {
-				return v.FRE().Join(v.COE()).Intersect(v.RMW()).IsEmpty()
-			},
-		},
-		{
-			Name: "no_thin_air",
-			Holds: func(v *exec.View) bool {
-				return deriveARMv8(v).hb.Acyclic()
-			},
-		},
-		{
-			Name: "observation",
-			Holds: func(v *exec.View) bool {
-				d := deriveARMv8(v)
-				return v.FRE().Join(d.prop).Join(d.hb.ReflexiveClosure()).Irreflexive()
-			},
-		},
-		{
-			Name: "propagation",
-			Holds: func(v *exec.View) bool {
-				d := deriveARMv8(v)
-				return v.CO().Union(d.prop).Acyclic()
-			},
-		},
-	}
 }

@@ -12,16 +12,11 @@ func SC() Model {
 	return &model{
 		name: "sc",
 		axioms: []Axiom{
-			{
-				Name: "rmw_atomicity",
-				Holds: func(v *exec.View) bool {
-					return v.FRE().Join(v.COE()).Intersect(v.RMW()).IsEmpty()
-				},
-			},
+			rmwAtomicityExt,
 			{
 				Name: "sc_order",
 				Holds: func(v *exec.View) bool {
-					return v.Com().Union(v.PO()).Acyclic()
+					return relation.AcyclicUnion(v.Com(), v.PO())
 				},
 			},
 		},
@@ -41,30 +36,13 @@ func TSO() Model {
 	return &model{
 		name: "tso",
 		axioms: []Axiom{
+			scPerLoc,
+			rmwAtomicityExt,
 			{
-				Name: "sc_per_loc",
-				Holds: func(v *exec.View) bool {
-					return v.Com().Union(v.POLoc()).Acyclic()
-				},
-			},
-			{
-				Name: "rmw_atomicity",
-				Holds: func(v *exec.View) bool {
-					// no fre.coe & rmw
-					return v.FRE().Join(v.COE()).Intersect(v.RMW()).IsEmpty()
-				},
-			},
-			{
+				// acyclic[rfe + co + fr + ppo + fence]
 				Name: "causality",
 				Holds: func(v *exec.View) bool {
-					// acyclic[rfe + co + fr + ppo + fence] with
-					// ppo = po - (Write->Read).
-					n := v.N()
-					wr := relation.Cross(n, v.Writes(), v.Reads())
-					ppo := v.PO().Minus(wr)
-					fence := v.FenceRel(litmus.FMFence)
-					g := v.RFE().Union(v.CO()).Union(v.FR()).Union(ppo).Union(fence)
-					return g.Acyclic()
+					return relation.AcyclicUnion(tsoPPOFence(v), v.RFE(), v.CO(), v.FR())
 				},
 			},
 		},
@@ -78,4 +56,15 @@ func TSO() Model {
 		},
 		relax: RelaxSpec{DRMW: true},
 	}
+}
+
+// tsoPPOFence returns TSO's execution-independent order ppo ∪ fence, with
+// ppo = po - (Write->Read) and fence the mfence ordering, cached per
+// static context.
+func tsoPPOFence(v *exec.View) relation.Rel {
+	return v.StaticMemo("tso.static", func() any {
+		r := v.PO().Minus(relation.Cross(v.N(), v.Writes(), v.Reads()))
+		r.UnionWith(v.FenceRel(litmus.FMFence))
+		return r
+	}).(relation.Rel)
 }

@@ -17,6 +17,7 @@ import (
 
 	"memsynth/internal/exec"
 	"memsynth/internal/litmus"
+	"memsynth/internal/relation"
 )
 
 // Axiom is one named constraint of a memory model. Holds reports whether
@@ -26,6 +27,35 @@ import (
 type Axiom struct {
 	Name  string
 	Holds func(v *exec.View) bool
+}
+
+// Axioms shared by several builtin models, each defined once. Builtin
+// axioms evaluate on a pooled view without allocating (DESIGN.md §10):
+// they test composed relations with the read-only kernels of package
+// relation instead of building them.
+var (
+	// scPerLoc is acyclic(com ∪ po_loc): coherence per location.
+	scPerLoc = Axiom{Name: "sc_per_loc", Holds: func(v *exec.View) bool {
+		return relation.AcyclicUnion(v.Com(), v.POLoc())
+	}}
+	// rmwAtomicityExt is empty(fre;coe ∩ rmw): no external write comes
+	// between the read and the write of an RMW pair.
+	rmwAtomicityExt = Axiom{Name: "rmw_atomicity", Holds: func(v *exec.View) bool {
+		return !v.FRE().JoinMeets(v.COE(), v.RMW())
+	}}
+	// rmwAtomicity is empty(fr;co ∩ rmw) (paper Fig. 17): no write at all
+	// comes between the read and the write of an RMW pair.
+	rmwAtomicity = Axiom{Name: "rmw_atomicity", Holds: func(v *exec.View) bool {
+		return !v.FR().JoinMeets(v.CO(), v.RMW())
+	}}
+)
+
+// pool points each of rs at an empty relation over n atoms. The relations
+// share one backing array, so a bundle's scratch costs two allocations.
+func pool(n int, rs ...*relation.Rel) {
+	for i, r := range relation.NewMany(n, len(rs)) {
+		*rs[i] = r
+	}
 }
 
 // Vocab describes the instruction alphabet available to the synthesizer for

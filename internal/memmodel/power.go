@@ -6,22 +6,28 @@ import (
 	"memsynth/internal/relation"
 )
 
-// powerDerived bundles the expensive intermediate relations of the Power /
-// ARMv7 formulation (Alglave et al. 2014, as used by the paper's Fig. 15).
-type powerDerived struct {
-	ppo    relation.Rel
-	fences relation.Rel
-	ffence relation.Rel
-	hb     relation.Rel
-	hbRT   relation.Rel
-	prop   relation.Rel
+// powerArch selects one of the three models built on the herding-cats
+// Power skeleton (Alglave et al. 2014, as used by the paper's Fig. 15).
+type powerArch uint8
+
+const (
+	archPower powerArch = iota
+	archARMv7
+	archARMv8
+)
+
+// powerMemoKeys are the StaticMemo and Memo keys of each arch's bundle.
+var powerMemoKeys = [...][2]string{
+	archPower: {"power.static", "power"},
+	archARMv7: {"armv7.static", "armv7"},
+	archARMv8: {"armv8.static", "armv8"},
 }
 
-// powerStatic holds the execution-independent half of the Power derivation
-// (cached per static context via View.StaticMemo) together with the pooled
-// scratch buffers the per-execution derivation writes into. One derivation
-// runs at a time per context (views are single-threaded), so sharing the
-// scratch across executions is safe and keeps the hot fixpoint
+// powerStatic holds the execution-independent half of the Power-skeleton
+// derivation (cached per static context via View.StaticMemo) together with
+// the pooled scratch buffers the per-execution derivation writes into. One
+// derivation runs at a time per context (views are single-threaded), so
+// sharing the scratch across executions is safe and keeps the hot fixpoint
 // allocation-free.
 type powerStatic struct {
 	rr, rw, ww relation.Rel
@@ -31,28 +37,25 @@ type powerStatic struct {
 	ffence     relation.Rel
 	fences     relation.Rel
 
+	// per-execution results, valid within one Reset window
+	ppo, hb, hbRT, prop relation.Rel
+
 	// scratch for derive (per-execution values, pooled across executions)
 	ii0, ci0           relation.Rel
 	ii, ic, ci, cc     relation.Rel
 	nii, nic, nci, ncc relation.Rel
 	tmp, chain         relation.Rel
 	propBase, comRT    relation.Rel
-	d                  powerDerived
 }
 
-func powerStaticOf(v *exec.View, arm bool) *powerStatic {
-	key := "power.static"
-	if arm {
-		key = "armv7.static"
-	}
-	return v.StaticMemo(key, func() any {
+func powerStaticOf(v *exec.View, arch powerArch) *powerStatic {
+	return v.StaticMemo(powerMemoKeys[arch][0], func() any {
 		n := v.N()
 		s := &powerStatic{
 			rr: relation.Cross(n, v.Reads(), v.Reads()),
 			rw: relation.Cross(n, v.Reads(), v.Writes()),
 			ww: relation.Cross(n, v.Writes(), v.Writes()),
 		}
-		wr := relation.Cross(n, v.Writes(), v.Reads())
 
 		dp := v.Dep(litmus.DepAddr).Union(v.Dep(litmus.DepData))
 		ctrl := v.Dep(litmus.DepCtrl)
@@ -63,45 +66,41 @@ func powerStaticOf(v *exec.View, arm bool) *powerStatic {
 		s.ii0s = dp
 		s.ci0s = ctrl.RestrictRange(isync).Join(v.PO())
 		s.cc0 = dp.Union(ctrl).Union(addrPo)
-		if !arm {
-			s.cc0 = s.cc0.Union(v.POLoc())
+		if arch == archPower {
+			s.cc0.UnionWith(v.POLoc())
 		}
 
 		s.ffence = v.FenceRel(litmus.FSync)
-		if arm {
+		switch arch {
+		case archPower:
+			wr := relation.Cross(n, v.Writes(), v.Reads())
+			s.fences = v.FenceRel(litmus.FLwSync).Minus(wr)
+			s.fences.UnionWith(s.ffence)
+		case archARMv7:
 			s.fences = s.ffence
-		} else {
-			lwfence := v.FenceRel(litmus.FLwSync).Minus(wr)
-			s.fences = lwfence.Union(s.ffence)
+		case archARMv8:
+			s.fences = armv8Order(v)
+			s.fences.UnionWith(s.ffence)
 		}
-		s.d.fences, s.d.ffence = s.fences, s.ffence
 
-		for _, r := range []*relation.Rel{
+		pool(n, &s.ppo, &s.hb, &s.hbRT, &s.prop,
 			&s.ii0, &s.ci0, &s.ii, &s.ic, &s.ci, &s.cc,
 			&s.nii, &s.nic, &s.nci, &s.ncc, &s.tmp, &s.chain,
-			&s.propBase, &s.comRT,
-			&s.d.ppo, &s.d.hb, &s.d.hbRT, &s.d.prop,
-		} {
-			*r = relation.New(n)
-		}
+			&s.propBase, &s.comRT)
 		return s
 	}).(*powerStatic)
 }
 
 // derivePower computes preserved program order (the fixed point of the four
-// mutually recursive relations ii/ic/ci/cc), the fence relations, hb, and
-// prop. arm selects the ARMv7 variant: no lwsync, and cc0 without po_loc
-// (reflecting the ARMv7 subtleties the formalization leaves out). The
-// static half comes from powerStaticOf; the dynamic half is recomputed
-// into that bundle's pooled scratch, so a steady-state derivation does not
-// allocate.
-func derivePower(v *exec.View, arm bool) *powerDerived {
-	key := "power"
-	if arm {
-		key = "armv7"
-	}
-	return v.Memo(key, func() any {
-		s := powerStaticOf(v, arm)
+// mutually recursive relations ii/ic/ci/cc), hb, and prop. The arch selects
+// the variant: ARMv7 and ARMv8 have no lwsync and a cc0 without po_loc
+// (reflecting the ARMv7 subtleties the formalization leaves out), and ARMv8
+// folds its acquire/release edges into the fences. The static half comes
+// from powerStaticOf; the dynamic half is recomputed into that bundle's
+// pooled scratch, so a steady-state derivation does not allocate.
+func derivePower(v *exec.View, arch powerArch) *powerStatic {
+	return v.Memo(powerMemoKeys[arch][1], func() any {
+		s := powerStaticOf(v, arch)
 
 		// ii0 = dp ∪ rdw ∪ rfi, with rdw = po_loc ∩ (fre;rfe).
 		s.ii0.CopyFrom(s.ii0s)
@@ -158,24 +157,23 @@ func derivePower(v *exec.View, arm bool) *powerDerived {
 		}
 
 		// ppo = (rr ∩ ii) ∪ (rw ∩ ic)
-		d := &s.d
-		d.ppo.CopyFrom(s.ii)
-		d.ppo.IntersectWith(s.rr)
+		s.ppo.CopyFrom(s.ii)
+		s.ppo.IntersectWith(s.rr)
 		s.tmp.CopyFrom(s.ic)
 		s.tmp.IntersectWith(s.rw)
-		d.ppo.UnionWith(s.tmp)
+		s.ppo.UnionWith(s.tmp)
 
 		// hb = ppo ∪ fences ∪ rfe; hbRT = *hb.
-		d.hb.CopyFrom(d.ppo)
-		d.hb.UnionWith(s.fences)
-		d.hb.UnionWith(v.RFE())
-		d.hbRT.CopyFrom(d.hb)
-		d.hbRT.ReflexiveCloseIn()
+		s.hb.CopyFrom(s.ppo)
+		s.hb.UnionWith(s.fences)
+		s.hb.UnionWith(v.RFE())
+		s.hbRT.CopyFrom(s.hb)
+		s.hbRT.ReflexiveCloseIn()
 
 		// propBase = (fences ∪ rfe;fences) ; hbRT
 		v.RFE().JoinInto(s.fences, s.tmp)
 		s.tmp.UnionWith(s.fences)
-		s.tmp.JoinInto(d.hbRT, s.propBase)
+		s.tmp.JoinInto(s.hbRT, s.propBase)
 
 		// prop = (ww ∩ propBase) ∪ comRT ; *propBase ; ffence ; hbRT
 		s.comRT.CopyFrom(v.Com())
@@ -183,51 +181,42 @@ func derivePower(v *exec.View, arm bool) *powerDerived {
 		s.chain.CopyFrom(s.propBase)
 		s.chain.ReflexiveCloseIn()
 		s.comRT.JoinInto(s.chain, s.tmp)
-		s.tmp.JoinInto(d.ffence, s.chain)
-		s.chain.JoinInto(d.hbRT, s.tmp)
-		d.prop.CopyFrom(s.ww)
-		d.prop.IntersectWith(s.propBase)
-		d.prop.UnionWith(s.tmp)
+		s.tmp.JoinInto(s.ffence, s.chain)
+		s.chain.JoinInto(s.hbRT, s.tmp)
+		s.prop.CopyFrom(s.ww)
+		s.prop.IntersectWith(s.propBase)
+		s.prop.UnionWith(s.tmp)
 
-		return d
-	}).(*powerDerived)
+		return s
+	}).(*powerStatic)
 }
 
-func powerAxioms(arm bool) []Axiom {
+func powerAxioms(arch powerArch) []Axiom {
 	return []Axiom{
-		{
-			Name: "sc_per_loc",
-			Holds: func(v *exec.View) bool {
-				return v.Com().Union(v.POLoc()).Acyclic()
-			},
-		},
-		{
-			// herding-cats "atomic": a larx/stcx pair succeeds only if no
-			// external write intervenes. Charted separately from the four
-			// axioms of paper Fig. 16, which saturates like TSO's.
-			Name: "rmw_atomicity",
-			Holds: func(v *exec.View) bool {
-				return v.FRE().Join(v.COE()).Intersect(v.RMW()).IsEmpty()
-			},
-		},
+		scPerLoc,
+		// herding-cats "atomic": a larx/stcx pair succeeds only if no
+		// external write intervenes. Charted separately from the four
+		// axioms of paper Fig. 16, which saturates like TSO's.
+		rmwAtomicityExt,
 		{
 			Name: "no_thin_air",
 			Holds: func(v *exec.View) bool {
-				return derivePower(v, arm).hb.Acyclic()
+				return derivePower(v, arch).hb.Acyclic()
 			},
 		},
 		{
+			// irreflexive(fre;prop;hb*)
 			Name: "observation",
 			Holds: func(v *exec.View) bool {
-				d := derivePower(v, arm)
-				return v.FRE().Join(d.prop).Join(d.hbRT).Irreflexive()
+				d := derivePower(v, arch)
+				d.prop.JoinInto(d.hbRT, d.tmp)
+				return v.FRE().JoinIrreflexive(d.tmp)
 			},
 		},
 		{
 			Name: "propagation",
 			Holds: func(v *exec.View) bool {
-				d := derivePower(v, arm)
-				return v.CO().Union(d.prop).Acyclic()
+				return relation.AcyclicUnion(v.CO(), derivePower(v, arch).prop)
 			},
 		},
 	}
@@ -240,7 +229,7 @@ func powerAxioms(arm bool) []Axiom {
 func Power() Model {
 	return &model{
 		name:   "power",
-		axioms: powerAxioms(false),
+		axioms: powerAxioms(archPower),
 		vocab: Vocab{
 			Ops: []litmus.Op{
 				litmus.R(0), litmus.W(0),
@@ -274,7 +263,7 @@ func Power() Model {
 func ARMv7() Model {
 	return &model{
 		name:   "armv7",
-		axioms: powerAxioms(true),
+		axioms: powerAxioms(archARMv7),
 		vocab: Vocab{
 			Ops: []litmus.Op{
 				litmus.R(0), litmus.W(0),

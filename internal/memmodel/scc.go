@@ -46,9 +46,7 @@ func sccStaticOf(v *exec.View, scoped bool) *sccStatic {
 			Union(v.POLoc().RestrictRange(acquires))
 		s.poRT = v.PO().ReflexiveClosure()
 
-		for _, r := range []*relation.Rel{&s.chain, &s.sync, &s.cause, &s.tmp} {
-			*r = relation.New(n)
-		}
+		pool(n, &s.chain, &s.sync, &s.cause, &s.tmp)
 		return s
 	}).(*sccStatic)
 }
@@ -69,7 +67,7 @@ func sccSync(v *exec.View, scoped bool) relation.Rel {
 	if scoped {
 		key = "scc.scoped.sync"
 	}
-	return v.Memo(key, func() any {
+	return *v.Memo(key, func() any {
 		s := sccStaticOf(v, scoped)
 		s.chain.CopyFrom(v.RF())
 		s.chain.UnionWith(v.RMW())
@@ -80,75 +78,57 @@ func sccSync(v *exec.View, scoped bool) relation.Rel {
 		if scoped {
 			s.sync.IntersectWith(v.ScopeCompatible())
 		}
-		return s.sync
-	}).(relation.Rel)
+		return &s.sync
+	}).(*relation.Rel)
 }
 
-// sccCause computes cause = *po.(sc + sync).*po, with the sc order possibly
-// reversed (the workaround of paper Fig. 19). For the scoped variant the sc
-// order is additionally restricted to scope-compatible fence pairs. The
-// result lives in the static bundle's pooled cause buffer, valid until the
-// next sccCause call on the same context.
-func sccCause(v *exec.View, scoped, reverseSC bool) relation.Rel {
+// sccCause computes cause = *po.(sc + sync).*po. For the scoped variant
+// the sc order is additionally restricted to scope-compatible fence pairs.
+// The result lives in the static bundle's pooled cause buffer, valid until
+// the next sccCause call on the same context.
+func sccCause(v *exec.View, scoped bool) relation.Rel {
 	s := sccStaticOf(v, scoped)
-	sc := v.SCRel(reverseSC)
-	if scoped {
-		sc = sc.Intersect(v.ScopeCompatible())
-	}
 	sync := sccSync(v, scoped)
-	s.tmp.CopyFrom(sc)
+	s.tmp.CopyFrom(v.SCRel())
+	if scoped {
+		s.tmp.IntersectWith(v.ScopeCompatible())
+	}
 	s.tmp.UnionWith(sync)
 	s.poRT.JoinInto(s.tmp, s.cause)
-	s.cause.JoinInto(s.poRT, s.tmp)
-	s.cause.CopyFrom(s.tmp)
+	s.cause.JoinInto(s.poRT, s.cause)
 	return s.cause
 }
 
-func sccCausalityHolds(v *exec.View, scoped, reverseSC bool) bool {
+// sccCausalityHolds checks irreflexive(com* ; ^cause).
+func sccCausalityHolds(v *exec.View, scoped bool) bool {
 	s := sccStaticOf(v, scoped)
-	cause := sccCause(v, scoped, reverseSC)
-	s.tmp.CopyFrom(cause)
+	s.tmp.CopyFrom(sccCause(v, scoped))
 	s.tmp.CloseIn()
-	comRT := v.Com()
-	// com* ; ^cause irreflexive ⟺ ∀i: i ∉ (com*;^cause)(i). Fold the
-	// reflexive closure of com in by also checking ^cause's own diagonal.
 	if !s.tmp.Irreflexive() {
-		return false
+		return false // cheap early out: com* includes the identity
 	}
-	s.chain.CopyFrom(comRT)
+	s.chain.CopyFrom(v.Com())
 	s.chain.ReflexiveCloseIn()
-	s.chain.JoinInto(s.tmp, s.cause)
-	return s.cause.Irreflexive()
+	return s.chain.JoinIrreflexive(s.tmp)
 }
 
 func sccAxioms(scoped bool) []Axiom {
 	return []Axiom{
-		{
-			Name: "sc_per_loc",
-			Holds: func(v *exec.View) bool {
-				return v.Com().Union(v.POLoc()).Acyclic()
-			},
-		},
+		scPerLoc,
 		{
 			Name: "no_thin_air",
 			Holds: func(v *exec.View) bool {
-				return v.RF().Union(v.DepAll()).Acyclic()
+				return relation.AcyclicUnion(v.RF(), v.DepAll())
 			},
 		},
-		{
-			Name: "rmw_atomicity",
-			Holds: func(v *exec.View) bool {
-				// no fr.co & rmw (Fig. 17).
-				return v.FR().Join(v.CO()).Intersect(v.RMW()).IsEmpty()
-			},
-		},
+		rmwAtomicity,
 		{
 			// The sc order this axiom consults is auxiliary; package
 			// minimal quantifies over all sc orders (the general form of
 			// the paper's Fig. 19 lone-edge workaround).
 			Name: "causality",
 			Holds: func(v *exec.View) bool {
-				return sccCausalityHolds(v, scoped, false)
+				return sccCausalityHolds(v, scoped)
 			},
 		},
 	}

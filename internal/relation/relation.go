@@ -30,10 +30,28 @@ type Rel struct {
 // New returns the empty relation over a universe of n atoms.
 // It panics if n is negative or exceeds MaxUniverse.
 func New(n int) Rel {
+	checkUniverse(n)
+	return Rel{n: n, rows: make([]uint64, n)}
+}
+
+func checkUniverse(n int) {
 	if n < 0 || n > MaxUniverse {
 		panic(fmt.Sprintf("relation: universe size %d out of range [0,%d]", n, MaxUniverse))
 	}
-	return Rel{n: n, rows: make([]uint64, n)}
+}
+
+// NewMany returns k empty relations over a universe of n atoms that share
+// one backing array, so a pooled bundle of scratch relations costs two
+// allocations instead of k. The relations' rows are disjoint: writing one
+// never changes another.
+func NewMany(n, k int) []Rel {
+	checkUniverse(n)
+	backing := make([]uint64, n*k)
+	out := make([]Rel, k)
+	for i := range out {
+		out[i] = Rel{n: n, rows: backing[i*n : (i+1)*n : (i+1)*n]}
+	}
+	return out
 }
 
 // FromPairs returns the relation over n atoms containing exactly the given
@@ -295,6 +313,16 @@ func (r Rel) RestrictIn(dom, rng Set) {
 	}
 }
 
+// UnionIdentity adds the pair (i,i) for every atom i of s in place
+// (r ∪= [s]).
+func (r Rel) UnionIdentity(s Set) {
+	r.mustMatchSet(s, "identity union")
+	for m := uint64(s); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		r.rows[i] |= 1 << uint(i)
+	}
+}
+
 // UnionRow adds an edge from i to every atom of s in place.
 func (r Rel) UnionRow(i int, s Set) {
 	if i < 0 || i >= r.n {
@@ -389,7 +417,27 @@ func (r Rel) Irreflexive() bool {
 
 // Acyclic reports whether the relation, viewed as a directed graph, has no
 // cycle (equivalently, its transitive closure is irreflexive).
-func (r Rel) Acyclic() bool {
+func (r Rel) Acyclic() bool { return acyclicRows(r.rows) }
+
+// AcyclicUnion reports whether r₁ ∪ … ∪ rₖ is acyclic without building the
+// union: the rows are ORed into a fixed stack array, so the check does not
+// allocate. It panics on an empty argument list or mismatched universes.
+func AcyclicUnion(rs ...Rel) bool {
+	n := rs[0].n
+	var rowsArr [MaxUniverse]uint64
+	rows := rowsArr[:n]
+	for _, r := range rs {
+		rs[0].mustMatch(r, "acyclic union")
+		for i, row := range r.rows {
+			rows[i] |= row
+		}
+	}
+	return acyclicRows(rows)
+}
+
+// acyclicRows is the cycle check behind Acyclic and AcyclicUnion over the
+// bit rows of a graph.
+func acyclicRows(rows []uint64) bool {
 	// Iterative DFS with colors; avoids the O(n^3) closure when a cycle
 	// exists early. Fixed-size backing arrays keep the check off the heap
 	// (it is the single most-called predicate in axiom evaluation).
@@ -399,19 +447,19 @@ func (r Rel) Acyclic() bool {
 		black = 2
 	)
 	var colorArr [MaxUniverse]uint8
-	color := colorArr[:r.n]
+	color := colorArr[:len(rows)]
 	type frame struct {
 		node int
 		rest uint64
 	}
 	var stackArr [MaxUniverse]frame
 	stack := stackArr[:0]
-	for start := 0; start < r.n; start++ {
+	for start := range rows {
 		if color[start] != white {
 			continue
 		}
 		color[start] = gray
-		stack = append(stack, frame{start, r.rows[start]})
+		stack = append(stack, frame{start, rows[start]})
 		for len(stack) > 0 {
 			top := &stack[len(stack)-1]
 			if top.rest == 0 {
@@ -426,8 +474,43 @@ func (r Rel) Acyclic() bool {
 				return false
 			case white:
 				color[j] = gray
-				stack = append(stack, frame{j, r.rows[j]})
+				stack = append(stack, frame{j, rows[j]})
 			}
+		}
+	}
+	return true
+}
+
+// JoinMeets reports whether (r;s) ∩ t is non-empty, without building r;s.
+func (r Rel) JoinMeets(s, t Rel) bool {
+	r.mustMatch(s, "join")
+	r.mustMatch(t, "intersect")
+	for i, row := range r.rows {
+		var acc uint64
+		for row != 0 {
+			j := bits.TrailingZeros64(row)
+			acc |= s.rows[j]
+			row &= row - 1
+		}
+		if acc&t.rows[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// JoinIrreflexive reports whether r;s is irreflexive — no i, j with (i,j)
+// in r and (j,i) in s — without building r;s.
+func (r Rel) JoinIrreflexive(s Rel) bool {
+	r.mustMatch(s, "join")
+	for i, row := range r.rows {
+		bit := uint64(1) << uint(i)
+		for row != 0 {
+			j := bits.TrailingZeros64(row)
+			if s.rows[j]&bit != 0 {
+				return false
+			}
+			row &= row - 1
 		}
 	}
 	return true

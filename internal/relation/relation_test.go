@@ -256,11 +256,78 @@ func TestQuickInPlaceMatchesAllocating(t *testing.T) {
 		if !dst.Equal(a.Restrict(dom, rng2)) {
 			return false
 		}
+		dst.CopyFrom(a)
+		dst.UnionIdentity(dom)
+		if !dst.Equal(a.Union(IdentityOn(10, dom))) {
+			return false
+		}
 		dst.Clear()
 		return dst.IsEmpty()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestQuickKernelsMatchAllocating: each read-only kernel must agree with
+// the allocating formula it fuses, and must not allocate.
+func TestQuickKernelsMatchAllocating(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		// Sparse enough that unions are acyclic and joins miss often.
+		p := 0.02 + 0.2*rng.Float64()
+		a, b, c := randomRel(rng, 10, p), randomRel(rng, 10, p), randomRel(rng, 10, p)
+		return AcyclicUnion(a, b, c) == a.Union(b).Union(c).Acyclic() &&
+			AcyclicUnion(a) == a.Acyclic() &&
+			a.JoinMeets(b, c) == !a.Join(b).Intersect(c).IsEmpty() &&
+			a.JoinIrreflexive(b) == a.Join(b).Irreflexive()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	a, b, c := randomRel(rng, 10, 0.1), randomRel(rng, 10, 0.1), randomRel(rng, 10, 0.1)
+	var sink bool
+	for _, k := range []struct {
+		name string
+		run  func()
+	}{
+		{"AcyclicUnion", func() { sink = AcyclicUnion(a, b, c) }},
+		{"JoinMeets", func() { sink = a.JoinMeets(b, c) }},
+		{"JoinIrreflexive", func() { sink = a.JoinIrreflexive(b) }},
+	} {
+		if allocs := testing.AllocsPerRun(10, k.run); allocs != 0 {
+			t.Errorf("%s: %v allocations per call", k.name, allocs)
+		}
+	}
+	_ = sink
+}
+
+// TestNewManyDisjoint: the relations NewMany returns share one backing
+// array but never each other's rows.
+func TestNewManyDisjoint(t *testing.T) {
+	const n, k = 7, 5
+	rs := NewMany(n, k)
+	if len(rs) != k {
+		t.Fatalf("len = %d, want %d", len(rs), k)
+	}
+	for i, r := range rs {
+		if r.N() != n || !r.IsEmpty() {
+			t.Fatalf("relation %d: universe %d, %v; want empty over %d", i, r.N(), r, n)
+		}
+	}
+	for i := range rs {
+		rs[i].CopyFrom(Full(n))
+		for j := range rs {
+			if j != i && !rs[j].IsEmpty() {
+				t.Fatalf("writing relation %d changed relation %d: %v", i, j, rs[j])
+			}
+		}
+		rs[i].Clear()
+	}
+	if rs := NewMany(0, 3); len(rs) != 3 || rs[0].N() != 0 {
+		t.Errorf("NewMany(0, 3) = %v", rs)
 	}
 }
 

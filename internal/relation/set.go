@@ -12,9 +12,7 @@ type Set uint64
 
 // UniverseSet returns the set {0, ..., n-1}.
 func UniverseSet(n int) Set {
-	if n < 0 || n > MaxUniverse {
-		panic(fmt.Sprintf("relation: universe size %d out of range [0,%d]", n, MaxUniverse))
-	}
+	checkUniverse(n)
 	if n == 64 {
 		return Set(^uint64(0))
 	}
@@ -95,12 +93,7 @@ func Cross(n int, s, t Set) Rel {
 // universe of n atoms.
 func IdentityOn(n int, s Set) Rel {
 	r := New(n)
-	m := uint64(s & UniverseSet(n))
-	for m != 0 {
-		i := bits.TrailingZeros64(m)
-		m &= m - 1
-		r.rows[i] = 1 << uint(i)
-	}
+	r.UnionIdentity(s & UniverseSet(n))
 	return r
 }
 
