@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check fmt build test vet race axioms lint analyze bench bench-compare bench-paper fuzz serve cluster cluster-test stress
+.PHONY: check fmt build test vet race axioms admit lint analyze bench bench-compare bench-paper fuzz serve cluster cluster-test stress
 
-check: fmt vet build race axioms lint
+check: fmt vet build race axioms admit lint
 
 # fmt fails when any Go file is not gofmt-clean.
 fmt:
@@ -59,6 +59,13 @@ race:
 # builtin axioms evaluate without allocating, which skips under -race.
 axioms:
 	$(GO) test -count=1 -run 'TestAxiomOracle|TestAxiomsAllocFree|TestQuick' ./internal/memmodel ./internal/relation
+
+# The admit differential under -race (CI runs the same step): admit on vs
+# off byte-identical, refuted assignments hold no minimal execution,
+# Decide exact in both directions at sc/tso bound 5, and CountForbidden
+# counts unchanged by the admit switch.
+admit:
+	$(GO) test -race -count=1 -run 'TestAdmitDifferential|TestDecideAgreesWithEnumeration|TestDecideExact|TestCountForbiddenIgnoresAdmit' ./internal/admit
 
 # Benchmark snapshot: full synthesis + isolated explore-phase measurements
 # per model, written as machine-readable JSON (committed as BENCH_synth.json

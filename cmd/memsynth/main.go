@@ -223,9 +223,10 @@ func main() {
 			res.Stats.Programs, res.Stats.ProgramsRaw, res.Stats.Executions, res.Stats.ExecutionsFast,
 			res.Stats.Elapsed, partial)
 		st := res.Stats.Stages
-		fmt.Fprintf(os.Stderr, "  stages: generation=%v dedupe=%v execution=%v minimality=%v (worker stages are CPU time)\n",
+		fmt.Fprintf(os.Stderr, "  stages: generation=%v dedupe=%v execution=%v admit=%v minimality=%v (worker stages are CPU time)\n",
 			st.Generation.Round(time.Millisecond), st.Dedupe.Round(time.Millisecond),
-			st.Execution.Round(time.Millisecond), st.Minimality.Round(time.Millisecond))
+			st.Execution.Round(time.Millisecond), st.Admit.Round(time.Millisecond),
+			st.Minimality.Round(time.Millisecond))
 		for _, name := range res.AxiomNames() {
 			fmt.Fprintf(os.Stderr, "  axiom %-16s %4d tests\n", name, len(res.PerAxiom[name].Entries))
 		}

@@ -1,27 +1,39 @@
-// Package admit implements per-model fast admissibility: a polynomial
-// saturation check that decides, for one reads-from assignment of a
-// program, whether *any* coherence order can extend it into a minimal
-// litmus test. The synthesis explore phase consults it once per rf
-// assignment and skips the factorial coherence-order cross-product when
-// the answer is no — the regime ("How Hard is Weak-Memory Testing?",
-// Chakraborty et al.; "Optimal Reads-From Consistency Checking", Tunç et
-// al.) where rf-consistency is polynomial while full execution
-// enumeration is not.
+// Package admit implements per-model fast admissibility: it decides, for
+// one reads-from assignment of a program, whether *any* coherence order
+// extends it into a minimal litmus test. The synthesis explore phase
+// consults it once per rf assignment and skips the factorial
+// coherence-order cross-product when the answer is no — the regime ("How
+// Hard is Weak-Memory Testing?", Chakraborty et al.; "Optimal Reads-From
+// Consistency Checking", Tunç et al.) where rf-level reasoning is
+// polynomial while full execution enumeration is not.
 //
-// The check is a sound refutation filter, never a decision procedure: a
-// minimal execution (Definition 1) must be observable — valid under the
-// full perturbed model — for *every* applicable instruction relaxation,
-// each sharing the one coherence order of the execution. Saturation
-// derives, per relaxation application, the coherence edges any valid
-// extension is forced to contain (closure over the application's
-// acyclicity graphs); a contradiction proves no coherence order is valid
-// under that application, so no extension of the rf assignment is
-// observable there and the whole subtree is skipped. When every
-// application admits some order individually, the union of their forced
-// edges must still be satisfied by the single shared order, so a cyclic
-// union refutes too. Anything not refuted is enumerated and re-confirmed
-// by minimal.Checker exactly as before — which is why suites and store
-// digests are byte-identical with the filter on or off (DESIGN.md §15).
+// Decide is exact for the models it supports, in two steps:
+//
+//   - Saturation. A minimal execution (Definition 1) must be observable —
+//     valid under the full perturbed model — for *every* applicable
+//     instruction relaxation, each sharing the one coherence order of the
+//     execution. Saturation derives, per relaxation application, the
+//     coherence edges any valid extension is forced to contain (closure
+//     over the application's acyclicity graphs); a contradiction proves no
+//     coherence order is valid under that application, which refutes the
+//     assignment in polynomial time.
+//   - Forced-edge search. An assignment saturation does not refute has
+//     every application's forced edges in one union, which the single
+//     shared coherence order must contain. Decide enumerates only the
+//     per-address coherence orders that are linear extensions of that
+//     union (none when it is cyclic) and checks each with a
+//     minimal.Checker, answering true at the first minimal one.
+//
+// A false answer therefore proves no extension is minimal, and a true one
+// proves some extension is. Admitted assignments are still enumerated in
+// full and re-confirmed by the engine's own minimal.Checker, which is why
+// suites and store digests are byte-identical with admit on or off
+// (DESIGN.md §15). Decide answers minimality, not forbiddenness, so the
+// engine leaves admit off when it counts forbidden outcomes
+// (synth.Options.CountForbidden). The checker's minimal.Checker owns the
+// per-application static contexts, and saturation derives its graphs from
+// the same pooled views, so each (program, application) gets one static
+// context here.
 //
 // Algorithms are registered for the builtin sc and tso models only. The
 // tso check folds the store buffer into the closure: its causality graph
@@ -37,11 +49,13 @@ package admit
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"memsynth/internal/exec"
 	"memsynth/internal/litmus"
 	"memsynth/internal/memmodel"
+	"memsynth/internal/minimal"
 	"memsynth/internal/relation"
 )
 
@@ -137,11 +151,12 @@ type appCtx struct {
 	liveWrites []relation.Set
 }
 
-// Checker decides fast admissibility for the rf assignments of one bound
-// program. Bind computes the relaxation applications' static contexts
-// lazily (mirroring minimal.Checker); Decide then runs pure bitset
-// saturation per assignment. A Checker is not safe for concurrent use;
-// the synthesis engine gives each worker its own.
+// Checker decides admissibility for the rf assignments of one bound
+// program. Bind is light: the relaxation applications' static contexts
+// are built lazily, through the checker's own minimal.Checker. Decide runs
+// bitset saturation per assignment, then the forced-edge search over the
+// survivors. A Checker is not safe for concurrent use; the synthesis
+// engine gives each worker its own.
 type Checker struct {
 	model  memmodel.Model
 	build  graphsFunc
@@ -158,12 +173,20 @@ type Checker struct {
 	// worker count.
 	order  []int
 	perApp []*appCtx
+	// inner owns the per-application views (appCtxFor derives the graphs
+	// from them) and checks the forced-edge search's leaves.
+	inner *minimal.Checker
 
 	// Saturation scratch, sized to the bound test's universe.
 	fco     relation.Rel // forced coherence edges of the current app
 	ffr     relation.Rel // forced from-reads edges of the current app
 	cl      relation.Rel // per-graph closure
 	unionCo relation.Rel // forced co edges across all apps of one Decide
+
+	// Search scratch, reused across binds.
+	writes [][]int        // writes[a]: the writes to address a, in event order
+	preds  []relation.Set // preds[w]: writes unionCo forces before w
+	x      exec.Execution // the leaf execution: rf of the Decide, co being built
 }
 
 // NewChecker returns a Checker for model m, or nil when the model has no
@@ -172,7 +195,7 @@ func NewChecker(m memmodel.Model) *Checker {
 	if ok, _ := Supports(m); !ok {
 		return nil
 	}
-	return &Checker{model: m, build: algorithms[m.Name()]}
+	return &Checker{model: m, build: algorithms[m.Name()], inner: minimal.NewChecker(m)}
 }
 
 // Bind points the checker at test t with the model's relaxation
@@ -191,20 +214,39 @@ func (c *Checker) Bind(t *litmus.Test, apps []exec.Perturb) {
 	for range apps {
 		c.perApp = append(c.perApp, nil)
 	}
+	c.inner.BindApps(t, apps)
 	if c.fco.N() != c.n {
 		c.fco = relation.New(c.n)
 		c.ffr = relation.New(c.n)
 		c.cl = relation.New(c.n)
 		c.unionCo = relation.New(c.n)
 	}
+
+	c.writes = slices.Grow(c.writes[:0], c.nAddrs)[:c.nAddrs]
+	for a := range c.writes {
+		c.writes[a] = c.writes[a][:0]
+	}
+	for _, e := range t.Events {
+		if e.Kind == litmus.KWrite {
+			c.writes[e.Addr] = append(c.writes[e.Addr], e.ID)
+		}
+	}
+	c.x.Test = t
+	c.x.RF = slices.Grow(c.x.RF[:0], c.n)[:c.n]
+	c.x.CO = slices.Grow(c.x.CO[:0], c.nAddrs)[:c.nAddrs]
+	for a, ws := range c.writes {
+		c.x.CO[a] = append(c.x.CO[a][:0], ws...)
+	}
+	c.preds = slices.Grow(c.preds[:0], c.n)[:c.n]
 }
 
-// appCtxFor builds application i's static context on first use.
-// Construction is lazy because the fail-fast order usually refutes with
-// the front application alone.
+// appCtxFor builds application i's static context on first use, from the
+// inner checker's pooled view of that application. Construction is lazy
+// because the fail-fast order usually refutes with the front application
+// alone.
 func (c *Checker) appCtxFor(i int) *appCtx {
 	if c.perApp[i] == nil {
-		v := exec.NewStaticCtx(c.t, c.apps[i]).NewView()
+		v := c.inner.AppView(i)
 		a := &appCtx{
 			view:       v,
 			live:       v.Live(),
@@ -223,10 +265,9 @@ func (c *Checker) appCtxFor(i int) *appCtx {
 }
 
 // Decide reports whether some coherence order extending rf (indexed by
-// event ID, -1 = initial) could yield a minimal execution. False is a
-// proof that none can — the caller may skip every extension; true is
-// merely "not refuted" and the extensions must be enumerated and checked
-// as usual.
+// event ID, -1 = initial) yields a minimal execution. The answer is exact:
+// false proves no extension is minimal, so the caller may skip them all;
+// true proves one is.
 func (c *Checker) Decide(rf []int) bool {
 	if c.t == nil {
 		panic("admit: Decide before Bind")
@@ -243,11 +284,46 @@ func (c *Checker) Decide(rf []int) bool {
 	}
 	// Each application admits some coherence order on its own, but a
 	// minimal execution carries a single order valid under all of them,
-	// which must contain every forced edge at once.
-	if len(c.apps) > 1 && !c.unionCo.Acyclic() {
-		return false
+	// which must contain every forced edge at once: search only those.
+	// Forced co edges join same-address writes only.
+	for _, ws := range c.writes {
+		for _, w := range ws {
+			c.preds[w] = 0
+		}
+		for _, w1 := range ws {
+			for m := c.unionCo.Successors(w1); m != 0; m &= m - 1 {
+				w2 := bits.TrailingZeros64(uint64(m))
+				c.preds[w2] = c.preds[w2].Add(w1)
+			}
+		}
 	}
-	return true
+	copy(c.x.RF, rf)
+	return c.search(0, 0, 0)
+}
+
+// search completes c.x.CO from position pos of address addr onward, the
+// writes in placed being placed already. It places a write only once every
+// write unionCo forces before it is placed, so it visits exactly the
+// coherence orders that contain every forced edge, and reports whether
+// one of them makes a minimal execution.
+func (c *Checker) search(addr, pos int, placed relation.Set) bool {
+	for addr < c.nAddrs && pos == len(c.writes[addr]) {
+		addr, pos = addr+1, 0
+	}
+	if addr == c.nAddrs {
+		return len(c.inner.Check(&c.x).MinimalFor()) > 0
+	}
+	co := c.x.CO[addr]
+	for _, w := range c.writes[addr] {
+		if placed.Has(w) || !c.preds[w].Minus(placed).IsEmpty() {
+			continue
+		}
+		co[pos] = w
+		if c.search(addr, pos+1, placed.Add(w)) {
+			return true
+		}
+	}
+	return false
 }
 
 // saturate runs the closure fixpoint for one application and reports

@@ -136,6 +136,37 @@ func TestAdmitDifferentialAllBuiltins(t *testing.T) {
 	}
 }
 
+// TestCountForbiddenIgnoresAdmit: Decide refutes minimality, not
+// forbiddenness, so counting forbidden outcomes must leave admit off —
+// the count is the exhaustive one whatever Options.Admit asks for.
+func TestCountForbiddenIgnoresAdmit(t *testing.T) {
+	for _, name := range []string{"sc", "tso"} {
+		m, err := memmodel.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bound := 3; bound <= 5; bound++ {
+			counts := make(map[string]int)
+			for _, mode := range []string{"", "off"} {
+				opts := synth.Options{MaxEvents: bound, Admit: mode, Workers: 2, CountForbidden: true}
+				res, err := synth.SynthesizeContext(context.Background(), m, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Admit != "off" || res.Stats.ExecutionsFast != 0 {
+					t.Errorf("%s@%d admit=%q: Result.Admit = %q with %d fast-decided executions under CountForbidden, want off and 0",
+						name, bound, mode, res.Admit, res.Stats.ExecutionsFast)
+				}
+				counts[mode] = res.Stats.ForbiddenOutcomes
+			}
+			if counts[""] != counts["off"] || counts[""] == 0 {
+				t.Errorf("%s@%d: ForbiddenOutcomes %d with admit on, %d with admit off",
+					name, bound, counts[""], counts["off"])
+			}
+		}
+	}
+}
+
 // TestAdmitDifferentialCatModels compiles the example cat definitions.
 // Definition-language models must always fall back — including sc.cat and
 // tso.cat, whose names collide with the builtins that do have algorithms;

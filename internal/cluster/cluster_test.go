@@ -234,6 +234,9 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got, want := shards[i].Stats.Stages.Admit, sr.Stats.Stages.Admit; got != want || want == 0 {
+			t.Errorf("shard %d: decoded admit time %v, encoded %v", i, got, want)
+		}
 	}
 	merged, err := synth.MergeShards(m, opts, shards)
 	if err != nil {

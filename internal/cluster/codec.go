@@ -88,6 +88,7 @@ func EncodeShardResult(shardDigest string, sr *synth.ShardResult) *WireShardResu
 			DedupeNS:          int64(st.Stages.Dedupe),
 			ExecutionNS:       int64(st.Stages.Execution),
 			MinimalityNS:      int64(st.Stages.Minimality),
+			AdmitNS:           int64(st.Stages.Admit),
 		},
 		Interrupted: st.Interrupted,
 	}
@@ -146,6 +147,7 @@ func DecodeShardResult(w *WireShardResult) (*synth.ShardResult, error) {
 			Dedupe:     time.Duration(sm.DedupeNS),
 			Execution:  time.Duration(sm.ExecutionNS),
 			Minimality: time.Duration(sm.MinimalityNS),
+			Admit:      time.Duration(sm.AdmitNS),
 		},
 		Interrupted: w.Interrupted,
 	}

@@ -107,10 +107,10 @@ func scOrders(m memmodel.Model, x *exec.Execution) [][]int {
 }
 
 // Checker amortizes the static work of the minimality criterion across the
-// executions of one program. Bind computes the relaxation applications,
-// the sc-order permutations, and lazily one static evaluation context per
-// perturbation; Check then rebuilds only the dynamic relations (rf, co,
-// fr) per execution into the pooled views.
+// executions of one program. Bind computes the relaxation applications and
+// the sc-order permutations, and one static evaluation context per
+// perturbation is built lazily on first use; Check then rebuilds only the
+// dynamic relations (rf, co, fr) per execution into the pooled views.
 //
 // A Checker is not safe for concurrent use; the synthesis engine gives
 // each worker its own.
@@ -130,7 +130,7 @@ type Checker struct {
 	order    []int
 	scPerms  [][]int    // precomputed permutations (UsesSC models, ≥2 fences)
 	oneOrder [1][]int   // scratch for the single-order case
-	base     *exec.View // pooled NoPerturb view
+	base     *exec.View // pooled NoPerturb view, built by the first Check
 	perApp   []*exec.View
 	violated []bool // scratch for the per-axiom forbidden sweep
 }
@@ -143,13 +143,16 @@ func NewChecker(m memmodel.Model) *Checker {
 // Bind points the checker at test t, computing the relaxation applications
 // of m to t and resetting all per-program state.
 func (c *Checker) Bind(t *litmus.Test) {
-	c.bind(t, memmodel.Applications(c.m, t))
+	c.BindApps(t, memmodel.Applications(c.m, t))
 }
 
 // Apps returns the relaxation applications of the bound test.
 func (c *Checker) Apps() []exec.Perturb { return c.apps }
 
-func (c *Checker) bind(t *litmus.Test, apps []exec.Perturb) {
+// BindApps is Bind with the relaxation applications precomputed: apps must
+// be memmodel.Applications(m, t), as Apps of another Checker bound to t
+// returns them. The slice is shared, not copied.
+func (c *Checker) BindApps(t *litmus.Test, apps []exec.Perturb) {
 	c.t = t
 	c.apps = apps
 	c.order = c.order[:0]
@@ -162,7 +165,7 @@ func (c *Checker) bind(t *litmus.Test, apps []exec.Perturb) {
 			c.scPerms = permutations(fences)
 		}
 	}
-	c.base = exec.NewStaticCtx(t, exec.NoPerturb).NewView()
+	c.base = nil
 	c.perApp = c.perApp[:0]
 	for range apps {
 		c.perApp = append(c.perApp, nil)
@@ -179,11 +182,14 @@ func (c *Checker) ordersFor(x *exec.Execution) [][]int {
 	return c.oneOrder[:]
 }
 
-// appView returns the pooled view for relaxation application i, building
-// its static context on first use. Construction is lazy because the
-// observability sweep only runs for executions that violate some axiom —
-// a small minority — and even then usually short-circuits.
-func (c *Checker) appView(i int) *exec.View {
+// AppView returns the pooled view for relaxation application i (an index
+// into Apps), building its static context on first use. Construction is
+// lazy because the observability sweep only runs for executions that
+// violate some axiom — a small minority — and even then usually
+// short-circuits. Callers may read the view's static accessors: they
+// describe application i of the bound test and stay valid across Check,
+// which resets only the dynamic relations.
+func (c *Checker) AppView(i int) *exec.View {
 	if c.perApp[i] == nil {
 		c.perApp[i] = exec.NewStaticCtx(c.t, c.apps[i]).NewView()
 	}
@@ -208,6 +214,9 @@ func (c *Checker) Check(x *exec.Execution) Verdict {
 	remaining := len(c.axioms)
 	for i := range violated {
 		violated[i] = true
+	}
+	if c.base == nil {
+		c.base = exec.NewStaticCtx(c.t, exec.NoPerturb).NewView()
 	}
 	for _, sc := range orders {
 		x.SC = sc
@@ -235,7 +244,7 @@ func (c *Checker) Check(x *exec.Execution) Verdict {
 	// order; a failing application short-circuits and moves to the front.
 	for pos := 0; pos < len(c.order); pos++ {
 		ai := c.order[pos]
-		pv := c.appView(ai)
+		pv := c.AppView(ai)
 		observable := false
 		for _, sc := range orders {
 			x.SC = sc
@@ -276,7 +285,7 @@ func (c *Checker) valid(v *exec.View) bool {
 // should hold a Checker instead, which amortizes the evaluation contexts.
 func Check(m memmodel.Model, apps []exec.Perturb, x *exec.Execution) Verdict {
 	c := NewChecker(m)
-	c.bind(x.Test, apps)
+	c.BindApps(x.Test, apps)
 	return c.Check(x)
 }
 

@@ -115,6 +115,7 @@ type StatsManifest struct {
 	DedupeNS          int64 `json:"dedupe_ns"`
 	ExecutionNS       int64 `json:"execution_ns"`
 	MinimalityNS      int64 `json:"minimality_ns"`
+	AdmitNS           int64 `json:"admit_ns,omitempty"`
 }
 
 func statsManifest(st synth.Stats) StatsManifest {
@@ -129,6 +130,7 @@ func statsManifest(st synth.Stats) StatsManifest {
 		DedupeNS:          int64(st.Stages.Dedupe),
 		ExecutionNS:       int64(st.Stages.Execution),
 		MinimalityNS:      int64(st.Stages.Minimality),
+		AdmitNS:           int64(st.Stages.Admit),
 	}
 }
 
@@ -145,6 +147,7 @@ func (sm StatsManifest) synthStats() synth.Stats {
 			Dedupe:     time.Duration(sm.DedupeNS),
 			Execution:  time.Duration(sm.ExecutionNS),
 			Minimality: time.Duration(sm.MinimalityNS),
+			Admit:      time.Duration(sm.AdmitNS),
 		},
 	}
 }

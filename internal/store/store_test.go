@@ -102,7 +102,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 		}
 	}
 	if rt.Stats.Programs != res.Stats.Programs || rt.Stats.Executions != res.Stats.Executions ||
-		rt.Stats.ExecutionsFast != res.Stats.ExecutionsFast {
+		rt.Stats.ExecutionsFast != res.Stats.ExecutionsFast || rt.Stats.Stages != res.Stats.Stages ||
+		res.Stats.Stages.Admit == 0 {
 		t.Errorf("stats not round-tripped: %+v vs %+v", rt.Stats, res.Stats)
 	}
 

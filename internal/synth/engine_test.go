@@ -237,8 +237,11 @@ func TestProgressEvents(t *testing.T) {
 func TestStageTimings(t *testing.T) {
 	res := Synthesize(memmodel.TSO(), Options{MaxEvents: 4})
 	st := res.Stats.Stages
-	if st.Generation <= 0 || st.Dedupe <= 0 || st.Execution <= 0 || st.Minimality <= 0 {
+	if st.Generation <= 0 || st.Dedupe <= 0 || st.Execution <= 0 || st.Minimality <= 0 || st.Admit <= 0 {
 		t.Errorf("missing stage timings: %+v", st)
+	}
+	if off := Synthesize(memmodel.TSO(), Options{MaxEvents: 4, Admit: "off"}).Stats.Stages; off.Admit != 0 {
+		t.Errorf("admit-off run reports admit time %v", off.Admit)
 	}
 }
 

@@ -20,14 +20,16 @@ type Options struct {
 	// MaxRMWs bounds the number of RMW pairs (default 1).
 	MaxRMWs int
 	// Admit selects the fast-admissibility filter (internal/admit), which
-	// refutes reads-from assignments that provably cannot extend into a
-	// minimal execution before their coherence orders are enumerated. ""
-	// or "auto" enables it whenever the model has a registered algorithm
-	// (the builtin sc and tso models) and silently falls back to plain
-	// enumeration otherwise; "off" disables it everywhere. The filter is
-	// refutation-sound — admitted assignments are still enumerated and
-	// re-confirmed by the minimality checker — so suites and store digests
-	// are byte-identical either way, and Normalize strips the field.
+	// decides exactly, per reads-from assignment, whether any coherence
+	// order extends it into a minimal execution, and skips the
+	// assignment's coherence orders when none does. "" or "auto" enables
+	// it whenever the model has a registered algorithm (the builtin sc and
+	// tso models) and silently falls back to plain enumeration otherwise;
+	// "off" disables it everywhere. CountForbidden also disables it, since
+	// a skipped assignment may still hold forbidden outcomes. Admitted
+	// assignments are still enumerated and re-confirmed by the minimality
+	// checker, so suites and store digests are byte-identical either way,
+	// and Normalize strips the field.
 	Admit string
 	// Workers fans the per-program work out over this many goroutines
 	// (default runtime.NumCPU()). Results are identical for every worker
@@ -37,7 +39,9 @@ type Options struct {
 	// CountForbidden additionally counts all distinct forbidden
 	// (program, outcome) pairs — the "All Progs" line of paper Fig. 13a.
 	// It is off by default because canonicalizing every forbidden
-	// execution is expensive.
+	// execution is expensive, and it turns the Admit filter off: the
+	// count needs every execution enumerated, not only those of
+	// assignments with a minimal extension.
 	CountForbidden bool
 	// KeepTrivialFences disables the always-sound pruning of programs
 	// with a fence as the first or last instruction of a thread (such a

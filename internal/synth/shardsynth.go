@@ -173,12 +173,7 @@ func (e *engine) runShard(ctx context.Context, shard ShardSpec) *ShardResult {
 	out.Stats.Executions = int(e.executions.Load())
 	out.Stats.ExecutionsFast = int(e.executionsFast.Load())
 	out.Stats.Entries = int(e.entries.Load())
-	out.Stats.Stages = StageTimes{
-		Generation: time.Duration(e.genNS.Load()),
-		Dedupe:     time.Duration(e.dedupeNS.Load()),
-		Execution:  time.Duration(e.execNS.Load()),
-		Minimality: time.Duration(e.minNS.Load()),
-	}
+	out.Stats.Stages = e.stageTimes()
 	out.Stats.Interrupted = e.stopped.Load()
 	out.Stats.Elapsed = time.Since(e.start)
 	e.prog.emit(PhaseDone, out.Stats.Interrupted)
@@ -300,6 +295,7 @@ func MergeShards(m memmodel.Model, opts Options, shards []*ShardResult) (*Result
 		res.Stats.Stages.Dedupe += sr.Stats.Stages.Dedupe
 		res.Stats.Stages.Execution += sr.Stats.Stages.Execution
 		res.Stats.Stages.Minimality += sr.Stats.Stages.Minimality
+		res.Stats.Stages.Admit += sr.Stats.Stages.Admit
 		if sr.Stats.Elapsed > res.Stats.Elapsed {
 			res.Stats.Elapsed = sr.Stats.Elapsed
 		}

@@ -97,8 +97,9 @@ func (s *Suite) CountUpTo(bound int) int {
 }
 
 // StageTimes breaks the synthesis work down by pipeline stage. Worker
-// stages (Dedupe, Execution, Minimality) are summed across goroutines, so
-// they are CPU time and can exceed Stats.Elapsed on parallel runs.
+// stages (Dedupe, Execution, Minimality, Admit) are summed across
+// goroutines, so they are CPU time and can exceed Stats.Elapsed on
+// parallel runs.
 // Generation is the wall-clock time of the skeleton enumerator (it
 // includes backpressure waiting when the dedupe workers lag).
 type StageTimes struct {
@@ -107,10 +108,15 @@ type StageTimes struct {
 	Generation time.Duration
 	// Dedupe is canonical-key computation plus sharded-map claims.
 	Dedupe time.Duration
-	// Execution is candidate-execution enumeration.
+	// Execution is candidate-execution enumeration, excluding the Admit
+	// and Minimality work it calls.
 	Execution time.Duration
 	// Minimality is the per-execution minimality criterion.
 	Minimality time.Duration
+	// Admit is the fast-admissibility decision per reads-from assignment
+	// (internal/admit), including the minimality checks of its
+	// forced-edge search. It is zero when admit is off.
+	Admit time.Duration
 }
 
 // Stats reports synthesis work counters.
@@ -160,9 +166,9 @@ type Result struct {
 	// digests so same-named but different definitions never collide.
 	ModelDigest string
 	// Admit records whether the fast-admissibility filter ran: "fast"
-	// when active, "off" when disabled by Options.Admit or unsupported by
-	// the model (internal/admit). It is provenance only and excluded from
-	// store digests.
+	// when active, "off" when disabled by Options.Admit or
+	// Options.CountForbidden or unsupported by the model (internal/admit).
+	// It is provenance only and excluded from store digests.
 	Admit    string
 	PerAxiom map[string]*Suite
 	Union    *Suite
@@ -229,13 +235,16 @@ type engine struct {
 	forbidden      atomic.Int64
 
 	// admitOn enables the per-worker fast-admissibility checkers: the
-	// model has a registered algorithm and Options.Admit did not opt out.
+	// model has a registered algorithm, Options.Admit did not opt out, and
+	// Options.CountForbidden is off (admit skips assignments with no
+	// minimal extension, which may still hold forbidden outcomes).
 	admitOn bool
 
 	genNS    atomic.Int64
 	dedupeNS atomic.Int64
 	execNS   atomic.Int64
 	minNS    atomic.Int64
+	admitNS  atomic.Int64
 
 	seenEntry     *shardedSet
 	seenForbidden *shardedSet
@@ -259,7 +268,7 @@ func newEngine(m memmodel.Model, opts Options) *engine {
 		},
 	}
 	e.res.ModelSource, e.res.ModelDigest = memmodel.SourceOf(m)
-	if opts.Admit != "off" {
+	if opts.Admit != "off" && !opts.CountForbidden {
 		if ok, _ := admit.Supports(m); ok {
 			e.admitOn = true
 		}
@@ -324,16 +333,22 @@ func (e *engine) run(ctx context.Context) *Result {
 	e.res.Stats.Executions = int(e.executions.Load())
 	e.res.Stats.ExecutionsFast = int(e.executionsFast.Load())
 	e.res.Stats.Entries = int(e.entries.Load())
-	e.res.Stats.Stages = StageTimes{
-		Generation: time.Duration(e.genNS.Load()),
-		Dedupe:     time.Duration(e.dedupeNS.Load()),
-		Execution:  time.Duration(e.execNS.Load()),
-		Minimality: time.Duration(e.minNS.Load()),
-	}
+	e.res.Stats.Stages = e.stageTimes()
 	e.res.Stats.Interrupted = e.stopped.Load()
 	e.res.Stats.Elapsed = time.Since(e.start)
 	e.prog.emit(PhaseDone, e.res.Stats.Interrupted)
 	return e.res
+}
+
+// stageTimes snapshots the per-stage timing counters.
+func (e *engine) stageTimes() StageTimes {
+	return StageTimes{
+		Generation: time.Duration(e.genNS.Load()),
+		Dedupe:     time.Duration(e.dedupeNS.Load()),
+		Execution:  time.Duration(e.execNS.Load()),
+		Minimality: time.Duration(e.minNS.Load()),
+		Admit:      time.Duration(e.admitNS.Load()),
+	}
 }
 
 // seqTest is one generated program tagged with its generation order.
@@ -443,14 +458,14 @@ func (e *engine) merge(results [][]foundEntry) {
 // criterion through the caller's pooled checker; each goroutine must pass
 // its own. A non-nil adm filters reads-from assignments before their
 // coherence orders are enumerated: a refuted assignment's extensions are
-// counted as fast-decided instead of visited (the filter is sound, so
-// every finding an unfiltered run makes survives). On cancellation
-// mid-program the partial findings are discarded (counters keep what was
-// actually checked).
+// counted as fast-decided instead of visited (a refuted assignment has no
+// minimal extension, so every finding an unfiltered run makes survives).
+// On cancellation mid-program the partial findings are discarded
+// (counters keep what was actually checked).
 func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmus.Test) []foundEntry {
 	c.Bind(t)
 	var found []foundEntry
-	var execs, fastExecs, minNS, dedupeNS int64
+	var execs, fastExecs, minNS, dedupeNS, admitNS int64
 	completed := true
 	t0 := time.Now()
 	// sc orders are quantified inside the checker (they are auxiliary,
@@ -472,7 +487,10 @@ func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmu
 			return false
 		}
 		eopts.RFFilter = func(rf []int) bool {
-			if adm.Decide(rf) {
+			a0 := time.Now()
+			ok := adm.Decide(rf)
+			admitNS += int64(time.Since(a0))
+			if ok {
 				return true
 			}
 			fastExecs += perRF
@@ -518,8 +536,9 @@ func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmu
 		})
 		return true
 	})
-	e.execNS.Add(int64(time.Since(t0)) - minNS - dedupeNS)
+	e.execNS.Add(int64(time.Since(t0)) - minNS - dedupeNS - admitNS)
 	e.minNS.Add(minNS)
+	e.admitNS.Add(admitNS)
 	e.dedupeNS.Add(dedupeNS)
 	e.executions.Add(execs)
 	e.executionsFast.Add(fastExecs)
