@@ -150,14 +150,15 @@ type ResultResponse struct {
 // ProgressWire is one NDJSON line of a shard's progress stream, the
 // serializable projection of synth.ProgressEvent.
 type ProgressWire struct {
-	Phase       string `json:"phase"`
-	Size        int    `json:"size"`
-	ProgramsRaw int    `json:"programs_raw"`
-	Programs    int    `json:"programs"`
-	Executions  int    `json:"executions"`
-	Entries     int    `json:"entries"`
-	Forbidden   int    `json:"forbidden_outcomes,omitempty"`
-	ElapsedMS   int64  `json:"elapsed_ms"`
+	Phase          string `json:"phase"`
+	Size           int    `json:"size"`
+	ProgramsRaw    int    `json:"programs_raw"`
+	Programs       int    `json:"programs"`
+	Executions     int    `json:"executions"`
+	ExecutionsFast int    `json:"executions_fast,omitempty"`
+	Entries        int    `json:"entries"`
+	Forbidden      int    `json:"forbidden_outcomes,omitempty"`
+	ElapsedMS      int64  `json:"elapsed_ms"`
 }
 
 // SuiteBundle is the payload of GET /v1/suites/{digest}/bundle — a full

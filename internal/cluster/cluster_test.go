@@ -210,7 +210,8 @@ func TestParsePriority(t *testing.T) {
 }
 
 // TestCodecRoundTrip pins the wire format: a shard result survives
-// encode → JSON → decode and still merges byte-identically.
+// encode → JSON → decode with every Stats field intact and still merges
+// byte-identically.
 func TestCodecRoundTrip(t *testing.T) {
 	m := mustModel(t, "sc")
 	opts := synth.Options{MaxEvents: 3}
@@ -234,8 +235,8 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := shards[i].Stats.Stages.Admit, sr.Stats.Stages.Admit; got != want || want == 0 {
-			t.Errorf("shard %d: decoded admit time %v, encoded %v", i, got, want)
+		if got, want := shards[i].Stats, sr.Stats; got != want || want.ExecutionsFast == 0 || want.Stages.Admit == 0 {
+			t.Errorf("shard %d: decoded stats %+v, encoded %+v", i, got, want)
 		}
 	}
 	merged, err := synth.MergeShards(m, opts, shards)
@@ -294,6 +295,41 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 	assertSameSuites(t, encodeResult(t, res), encodeResult(t, single))
 	if got := metricInt(c, "shards_completed"); got != 3 {
 		t.Errorf("shards_completed = %d, want 3", got)
+	}
+}
+
+// TestCoordinatorProgressExecutionsFast pins that fast-decided executions
+// reach a distributed request's progress callback, summed over shards.
+func TestCoordinatorProgressExecutionsFast(t *testing.T) {
+	cfg := fastConfig()
+	cfg.ShardsPerRequest = 2
+	c := New(cfg)
+	defer c.Close()
+	ts := httptest.NewServer(c)
+	defer ts.Close()
+
+	startWorker(t, ts.URL, "w1", time.Second)
+	startWorker(t, ts.URL, "w2", time.Second)
+	waitFor(t, func() bool { return c.LiveWorkers() == 2 })
+
+	var maxFast atomic.Int64
+	progress := func(ev synth.ProgressEvent) {
+		for {
+			cur := maxFast.Load()
+			if int64(ev.ExecutionsFast) <= cur || maxFast.CompareAndSwap(cur, int64(ev.ExecutionsFast)) {
+				return
+			}
+		}
+	}
+	res, err := c.Synthesize(context.Background(), mustModel(t, "tso"), synth.Options{MaxEvents: 5}, PriorityInteractive, progress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ExecutionsFast == 0 {
+		t.Fatal("merged result has no fast-decided executions")
+	}
+	if got := maxFast.Load(); got == 0 || got > int64(res.Stats.ExecutionsFast) {
+		t.Errorf("aggregated progress ExecutionsFast peaked at %d, want in (0, %d]", got, res.Stats.ExecutionsFast)
 	}
 }
 

@@ -2,30 +2,22 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
-	"memsynth/internal/exec"
-	"memsynth/internal/litmus"
 	"memsynth/internal/store"
 	"memsynth/internal/synth"
 )
 
 // WireShardEntry is one shard finding on the wire: the merge coordinates
-// (Size, Winner, Within), the axiom memberships, and the witness
-// execution's relations. The test program itself travels in the result's
-// suite text (one litmus test per entry, in entry order), so the wire
-// format round-trips through the same parser the store uses — the decode
+// (Size, Winner, Within), the axiom memberships, and the store's manifest
+// of the entry (key, size, witness relations). The test program itself
+// travels in the result's suite text (one litmus test per entry, in entry
+// order), so the wire format is the store's entry encoding — the decode
 // side rebuilds exactly the synth.Entry a local run would have produced.
 type WireShardEntry struct {
-	Size   int      `json:"size"`
 	Winner int      `json:"winner"`
 	Within int      `json:"within"`
 	Axioms []string `json:"axioms"`
-	Key    string   `json:"key"`
-	RF     []int    `json:"rf"`
-	CO     [][]int  `json:"co"`
-	SC     []int    `json:"sc,omitempty"`
+	store.EntryManifest
 }
 
 // WireShardResult is the upload body of POST /v1/cluster/shards/{d}/result.
@@ -42,7 +34,8 @@ type WireShardResult struct {
 	// per entry in Entries order.
 	SuiteText string           `json:"suite_text"`
 	Entries   []WireShardEntry `json:"entries"`
-	// EntriesFound mirrors synth.Stats.Entries (StatsManifest drops it).
+	// EntriesFound and Interrupted carry the two synth.Stats fields
+	// StatsManifest leaves out.
 	EntriesFound int                 `json:"entries_found"`
 	Stats        store.StatsManifest `json:"stats"`
 	Interrupted  bool                `json:"interrupted,omitempty"`
@@ -50,22 +43,15 @@ type WireShardResult struct {
 
 // EncodeShardResult serializes a shard run for upload.
 func EncodeShardResult(shardDigest string, sr *synth.ShardResult) *WireShardResult {
-	specs := make([]*litmus.Spec, len(sr.Entries))
+	found := make([]synth.Entry, len(sr.Entries))
+	for i, se := range sr.Entries {
+		found[i] = se.Entry
+	}
+	text, ems := store.EncodeEntries(found)
 	entries := make([]WireShardEntry, len(sr.Entries))
 	for i, se := range sr.Entries {
-		specs[i] = &litmus.Spec{Test: se.Entry.Test, Forbid: se.Entry.Exec.OutcomeConds()}
-		entries[i] = WireShardEntry{
-			Size:   se.Size,
-			Winner: se.Winner,
-			Within: se.Within,
-			Axioms: se.Axioms,
-			Key:    se.Entry.Key,
-			RF:     se.Entry.Exec.RF,
-			CO:     se.Entry.Exec.CO,
-			SC:     se.Entry.Exec.SC,
-		}
+		entries[i] = WireShardEntry{Winner: se.Winner, Within: se.Within, Axioms: se.Axioms, EntryManifest: ems[i]}
 	}
-	st := sr.Stats
 	return &WireShardResult{
 		ShardDigest:   shardDigest,
 		EngineVersion: synth.EngineVersion,
@@ -75,22 +61,11 @@ func EncodeShardResult(shardDigest string, sr *synth.ShardResult) *WireShardResu
 		Options:       store.FromSynthOptions(sr.Options),
 		Index:         sr.Shard.Index,
 		Stride:        sr.Shard.Stride,
-		SuiteText:     litmus.FormatSuite(specs),
+		SuiteText:     text,
 		Entries:       entries,
-		EntriesFound:  st.Entries,
-		Stats: store.StatsManifest{
-			ProgramsRaw:       st.ProgramsRaw,
-			Programs:          st.Programs,
-			Executions:        st.Executions,
-			ForbiddenOutcomes: st.ForbiddenOutcomes,
-			ElapsedNS:         int64(st.Elapsed),
-			GenerationNS:      int64(st.Stages.Generation),
-			DedupeNS:          int64(st.Stages.Dedupe),
-			ExecutionNS:       int64(st.Stages.Execution),
-			MinimalityNS:      int64(st.Stages.Minimality),
-			AdmitNS:           int64(st.Stages.Admit),
-		},
-		Interrupted: st.Interrupted,
+		EntriesFound:  sr.Stats.Entries,
+		Stats:         store.FromSynthStats(sr.Stats),
+		Interrupted:   sr.Stats.Interrupted,
 	}
 }
 
@@ -103,13 +78,13 @@ func DecodeShardResult(w *WireShardResult) (*synth.ShardResult, error) {
 		return nil, fmt.Errorf("cluster: shard result from engine version %q, want %q",
 			w.EngineVersion, synth.EngineVersion)
 	}
-	specs, err := litmus.ParseSuite(strings.NewReader(w.SuiteText))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %s: bad suite text: %w", w.ShardDigest, err)
+	ems := make([]store.EntryManifest, len(w.Entries))
+	for i, we := range w.Entries {
+		ems[i] = we.EntryManifest
 	}
-	if len(specs) != len(w.Entries) {
-		return nil, fmt.Errorf("cluster: shard %s: %d tests in suite text but %d entries",
-			w.ShardDigest, len(specs), len(w.Entries))
+	found, err := store.DecodeEntries(w.SuiteText, ems)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: shard %s: %w", w.ShardDigest, err)
 	}
 	sr := &synth.ShardResult{
 		Model:       w.Model,
@@ -118,38 +93,18 @@ func DecodeShardResult(w *WireShardResult) (*synth.ShardResult, error) {
 		Options:     w.Options.SynthOptions().Normalize(),
 		Shard:       synth.ShardSpec{Index: w.Index, Stride: w.Stride},
 		Entries:     make([]synth.ShardEntry, len(w.Entries)),
+		Stats:       w.Stats.SynthStats(),
 	}
+	sr.Stats.Entries = w.EntriesFound
+	sr.Stats.Interrupted = w.Interrupted
 	for i, we := range w.Entries {
-		spec := specs[i]
 		sr.Entries[i] = synth.ShardEntry{
 			Size:   we.Size,
 			Winner: we.Winner,
 			Within: we.Within,
 			Axioms: we.Axioms,
-			Entry: synth.Entry{
-				Test: spec.Test,
-				Exec: &exec.Execution{Test: spec.Test, RF: we.RF, CO: we.CO, SC: we.SC},
-				Key:  we.Key,
-				Size: we.Size,
-			},
+			Entry:  found[i],
 		}
-	}
-	sm := w.Stats
-	sr.Stats = synth.Stats{
-		ProgramsRaw:       sm.ProgramsRaw,
-		Programs:          sm.Programs,
-		Executions:        sm.Executions,
-		Entries:           w.EntriesFound,
-		ForbiddenOutcomes: sm.ForbiddenOutcomes,
-		Elapsed:           time.Duration(sm.ElapsedNS),
-		Stages: synth.StageTimes{
-			Generation: time.Duration(sm.GenerationNS),
-			Dedupe:     time.Duration(sm.DedupeNS),
-			Execution:  time.Duration(sm.ExecutionNS),
-			Minimality: time.Duration(sm.MinimalityNS),
-			Admit:      time.Duration(sm.AdmitNS),
-		},
-		Interrupted: w.Interrupted,
 	}
 	return sr, nil
 }

@@ -835,6 +835,7 @@ func (c *Coordinator) noteProgress(dg, workerID string, pw ProgressWire) {
 	for _, s := range fl.shards {
 		p := s.progress
 		agg.Executions += p.Executions
+		agg.ExecutionsFast += p.ExecutionsFast
 		agg.Entries += p.Entries
 		agg.ForbiddenOutcomes += p.Forbidden
 		if p.Size > agg.Size {

@@ -489,14 +489,15 @@ func (ps *progressStream) observe(ev synth.ProgressEvent) {
 		return
 	}
 	pw := ProgressWire{
-		Phase:       ev.Phase,
-		Size:        ev.Size,
-		ProgramsRaw: ev.ProgramsRaw,
-		Programs:    ev.Programs,
-		Executions:  ev.Executions,
-		Entries:     ev.Entries,
-		Forbidden:   ev.ForbiddenOutcomes,
-		ElapsedMS:   ev.Elapsed.Milliseconds(),
+		Phase:          ev.Phase,
+		Size:           ev.Size,
+		ProgramsRaw:    ev.ProgramsRaw,
+		Programs:       ev.Programs,
+		Executions:     ev.Executions,
+		ExecutionsFast: ev.ExecutionsFast,
+		Entries:        ev.Entries,
+		Forbidden:      ev.ForbiddenOutcomes,
+		ElapsedMS:      ev.Elapsed.Milliseconds(),
 	}
 	select {
 	case ps.ch <- pw:

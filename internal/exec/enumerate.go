@@ -54,7 +54,6 @@ func Enumerate(t *litmus.Test, opts EnumerateOptions, visit func(*Execution) boo
 	}
 
 	count := 0
-	stopped := false
 
 	var enumSC func() bool
 	if opts.UseSC && len(scFences) > 0 {
@@ -128,10 +127,7 @@ func Enumerate(t *litmus.Test, opts EnumerateOptions, visit func(*Execution) boo
 		return true
 	}
 
-	if !enumRF(0) {
-		stopped = true
-	}
-	_ = stopped
+	enumRF(0)
 	return count
 }
 
@@ -157,29 +153,15 @@ func forEachPermutation(items []int, visit func([]int) bool) {
 }
 
 // CountExecutions returns the number of well-formed candidate executions of
-// t without visiting them.
+// t without visiting them: the reads-from choices (each read takes a
+// same-address write or the initial value) times ExtensionsPerRF.
 func CountExecutions(t *litmus.Test, opts EnumerateOptions) int {
-	total := 1
-	writesPerAddr := make([]int, t.NumAddrs())
-	scFences := 0
-	for _, e := range t.Events {
-		switch {
-		case e.Kind == litmus.KWrite:
-			writesPerAddr[e.Addr]++
-		case e.Kind == litmus.KFence && e.Fence == litmus.FSC:
-			scFences++
-		}
-	}
+	writesPerAddr, _ := countWrites(t)
+	total := ExtensionsPerRF(t, opts)
 	for _, e := range t.Events {
 		if e.Kind == litmus.KRead {
 			total *= writesPerAddr[e.Addr] + 1
 		}
-	}
-	for _, w := range writesPerAddr {
-		total *= factorial(w)
-	}
-	if opts.UseSC && scFences > 0 {
-		total *= factorial(scFences)
 	}
 	return total
 }
@@ -189,9 +171,20 @@ func CountExecutions(t *litmus.Test, opts EnumerateOptions) int {
 // coherence permutations (times the sc-fence permutations under UseSC).
 // It is what one RFFilter rejection skips.
 func ExtensionsPerRF(t *litmus.Test, opts EnumerateOptions) int {
+	writesPerAddr, scFences := countWrites(t)
 	total := 1
-	writesPerAddr := make([]int, t.NumAddrs())
-	scFences := 0
+	for _, w := range writesPerAddr {
+		total *= factorial(w)
+	}
+	if opts.UseSC && scFences > 0 {
+		total *= factorial(scFences)
+	}
+	return total
+}
+
+// countWrites returns t's number of writes per address and of sc fences.
+func countWrites(t *litmus.Test) (writesPerAddr []int, scFences int) {
+	writesPerAddr = make([]int, t.NumAddrs())
 	for _, e := range t.Events {
 		switch {
 		case e.Kind == litmus.KWrite:
@@ -200,13 +193,7 @@ func ExtensionsPerRF(t *litmus.Test, opts EnumerateOptions) int {
 			scFences++
 		}
 	}
-	for _, w := range writesPerAddr {
-		total *= factorial(w)
-	}
-	if opts.UseSC && scFences > 0 {
-		total *= factorial(scFences)
-	}
-	return total
+	return writesPerAddr, scFences
 }
 
 func factorial(n int) int {

@@ -29,13 +29,14 @@ const maxJobHistory = 256
 // JobProgress is the live counter snapshot of a running job. Synthesis
 // jobs fill the engine counters; stress jobs fill the stress fields.
 type JobProgress struct {
-	Phase       string `json:"phase"`
-	Size        int    `json:"size,omitempty"`
-	ProgramsRaw int    `json:"programs_raw,omitempty"`
-	Programs    int    `json:"programs,omitempty"`
-	Executions  int    `json:"executions,omitempty"`
-	Entries     int    `json:"entries,omitempty"`
-	ElapsedMS   int64  `json:"elapsed_ms"`
+	Phase          string `json:"phase"`
+	Size           int    `json:"size,omitempty"`
+	ProgramsRaw    int    `json:"programs_raw,omitempty"`
+	Programs       int    `json:"programs,omitempty"`
+	Executions     int    `json:"executions,omitempty"`
+	ExecutionsFast int    `json:"executions_fast,omitempty"`
+	Entries        int    `json:"entries,omitempty"`
+	ElapsedMS      int64  `json:"elapsed_ms"`
 	// Stress-job counters: tests executed / suite size, iterations run,
 	// and iterations whose outcome the model forbids.
 	TestsRun    int   `json:"tests_run,omitempty"`
@@ -112,13 +113,14 @@ func (j *job) status() JobStatus {
 		ev := j.flight.snapshot()
 		if ev.Phase != "" {
 			st.Progress = &JobProgress{
-				Phase:       ev.Phase,
-				Size:        ev.Size,
-				ProgramsRaw: ev.ProgramsRaw,
-				Programs:    ev.Programs,
-				Executions:  ev.Executions,
-				Entries:     ev.Entries,
-				ElapsedMS:   ev.Elapsed.Milliseconds(),
+				Phase:          ev.Phase,
+				Size:           ev.Size,
+				ProgramsRaw:    ev.ProgramsRaw,
+				Programs:       ev.Programs,
+				Executions:     ev.Executions,
+				ExecutionsFast: ev.ExecutionsFast,
+				Entries:        ev.Entries,
+				ElapsedMS:      ev.Elapsed.Milliseconds(),
 			}
 		}
 	}

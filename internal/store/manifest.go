@@ -103,7 +103,10 @@ func DigestModel(m memmodel.Model, opts synth.Options) string {
 }
 
 // StatsManifest is the persisted projection of synth.Stats (durations as
-// nanoseconds for JSON stability).
+// nanoseconds for JSON stability). It is also the Stats encoding of a
+// shard result on the cluster wire. Entries and Interrupted are not
+// carried: a stored result is never interrupted, and its entry count is
+// its union suite's length.
 type StatsManifest struct {
 	ProgramsRaw       int   `json:"programs_raw"`
 	Programs          int   `json:"programs"`
@@ -118,7 +121,8 @@ type StatsManifest struct {
 	AdmitNS           int64 `json:"admit_ns,omitempty"`
 }
 
-func statsManifest(st synth.Stats) StatsManifest {
+// FromSynthStats projects engine stats onto their serializable shape.
+func FromSynthStats(st synth.Stats) StatsManifest {
 	return StatsManifest{
 		ProgramsRaw:       st.ProgramsRaw,
 		Programs:          st.Programs,
@@ -134,7 +138,9 @@ func statsManifest(st synth.Stats) StatsManifest {
 	}
 }
 
-func (sm StatsManifest) synthStats() synth.Stats {
+// SynthStats converts back to engine stats (Entries and Interrupted are
+// zero).
+func (sm StatsManifest) SynthStats() synth.Stats {
 	return synth.Stats{
 		ProgramsRaw:       sm.ProgramsRaw,
 		Programs:          sm.Programs,
@@ -162,6 +168,43 @@ type EntryManifest struct {
 	RF   []int   `json:"rf"`
 	CO   [][]int `json:"co"`
 	SC   []int   `json:"sc,omitempty"`
+}
+
+// EncodeEntries is the store's entry encoding, shared by persisted suites
+// and shard results on the cluster wire: litmus suite text with one test
+// per entry (forbidding its witness outcome), plus each entry's manifest.
+func EncodeEntries(entries []synth.Entry) (string, []EntryManifest) {
+	specs := make([]*litmus.Spec, len(entries))
+	var ems []EntryManifest // stays nil when empty: an empty suite keeps "entries": null
+	for i, e := range entries {
+		specs[i] = &litmus.Spec{Test: e.Test, Forbid: e.Exec.OutcomeConds()}
+		ems = append(ems, EntryManifest{Key: e.Key, Size: e.Size, RF: e.Exec.RF, CO: e.Exec.CO, SC: e.Exec.SC})
+	}
+	return litmus.FormatSuite(specs), ems
+}
+
+// DecodeEntries inverts EncodeEntries: it reparses the tests from text and
+// reattaches each manifest's witness execution, rebuilding exactly the
+// synth.Entry values that were encoded.
+func DecodeEntries(text string, ems []EntryManifest) ([]synth.Entry, error) {
+	specs, err := litmus.ParseSuite(strings.NewReader(text))
+	if err != nil {
+		return nil, err
+	}
+	if len(specs) != len(ems) {
+		return nil, fmt.Errorf("%d tests but %d manifest entries", len(specs), len(ems))
+	}
+	entries := make([]synth.Entry, len(specs))
+	for i, spec := range specs {
+		em := ems[i]
+		entries[i] = synth.Entry{
+			Test: spec.Test,
+			Exec: &exec.Execution{Test: spec.Test, RF: em.RF, CO: em.CO, SC: em.SC},
+			Key:  em.Key,
+			Size: em.Size,
+		}
+	}
+	return entries, nil
 }
 
 // SuiteManifest indexes one persisted suite (the union or one axiom).
@@ -251,26 +294,14 @@ func Encode(res *synth.Result) (*StoredSuite, error) {
 		ModelDigest:   res.ModelDigest,
 		Options:       FromSynthOptions(res.Options),
 		CreatedAt:     time.Now().UTC().Truncate(time.Second),
-		Stats:         statsManifest(res.Stats),
+		Stats:         FromSynthStats(res.Stats),
 		Suites:        make(map[string]SuiteManifest),
 	}
 	texts := make(map[string]string)
 	encodeSuite := func(name string, s *synth.Suite) {
-		sm := SuiteManifest{File: suiteFileName(name), Tests: len(s.Entries)}
-		specs := make([]*litmus.Spec, len(s.Entries))
-		for i, e := range s.Entries {
-			specs[i] = &litmus.Spec{Test: e.Test, Forbid: e.Exec.OutcomeConds()}
-			em := EntryManifest{
-				Key:  e.Key,
-				Size: e.Size,
-				RF:   e.Exec.RF,
-				CO:   e.Exec.CO,
-				SC:   e.Exec.SC,
-			}
-			sm.Entries = append(sm.Entries, em)
-		}
-		m.Suites[name] = sm
-		texts[name] = litmus.FormatSuite(specs)
+		text, ems := EncodeEntries(s.Entries)
+		m.Suites[name] = SuiteManifest{File: suiteFileName(name), Tests: len(s.Entries), Entries: ems}
+		texts[name] = text
 	}
 	encodeSuite(UnionSuite, res.Union)
 	for name, s := range res.PerAxiom {
@@ -292,30 +323,16 @@ func (ss *StoredSuite) Result() (*synth.Result, error) {
 		ModelSource: m.ModelSource,
 		ModelDigest: m.ModelDigest,
 		PerAxiom:    make(map[string]*synth.Suite),
-		Stats:       m.Stats.synthStats(),
+		Stats:       m.Stats.SynthStats(),
 	}
 	for name, sm := range m.Suites {
 		text, ok := ss.Texts[name]
 		if !ok {
 			return nil, fmt.Errorf("store: digest %s: suite %q text missing", m.Digest, name)
 		}
-		specs, err := litmus.ParseSuite(strings.NewReader(text))
+		entries, err := DecodeEntries(text, sm.Entries)
 		if err != nil {
 			return nil, fmt.Errorf("store: digest %s: suite %q: %w", m.Digest, name, err)
-		}
-		if len(specs) != len(sm.Entries) {
-			return nil, fmt.Errorf("store: digest %s: suite %q has %d tests but %d manifest entries",
-				m.Digest, name, len(specs), len(sm.Entries))
-		}
-		entries := make([]synth.Entry, len(specs))
-		for i, spec := range specs {
-			em := sm.Entries[i]
-			entries[i] = synth.Entry{
-				Test: spec.Test,
-				Exec: &exec.Execution{Test: spec.Test, RF: em.RF, CO: em.CO, SC: em.SC},
-				Key:  em.Key,
-				Size: em.Size,
-			}
 		}
 		s := synth.NewSuite(m.Model, name, entries)
 		if name == UnionSuite {

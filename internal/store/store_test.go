@@ -101,9 +101,9 @@ func TestPutGetRoundTrip(t *testing.T) {
 			t.Errorf("axiom %s not round-tripped", name)
 		}
 	}
-	if rt.Stats.Programs != res.Stats.Programs || rt.Stats.Executions != res.Stats.Executions ||
-		rt.Stats.ExecutionsFast != res.Stats.ExecutionsFast || rt.Stats.Stages != res.Stats.Stages ||
-		res.Stats.Stages.Admit == 0 {
+	want := res.Stats
+	want.Entries = 0 // the one Stats field a manifest does not persist
+	if rt.Stats != want || res.Stats.ExecutionsFast == 0 || res.Stats.Stages.Admit == 0 {
 		t.Errorf("stats not round-tripped: %+v vs %+v", rt.Stats, res.Stats)
 	}
 

@@ -17,13 +17,7 @@ func EnumeratePrograms(vocab memmodel.Vocab, opts Options, emit func(*litmus.Tes
 		return err
 	}
 	opts = opts.withDefaults()
-	g := &generator{
-		vocab: vocab,
-		opts:  opts,
-		// Mirrors the engine: the isolated-address pruning is only sound
-		// for models without syntactic dependencies.
-		pruneIsolated: !opts.KeepIsolatedAddrs && len(vocab.DepTypes) == 0,
-	}
+	g := newGenerator(vocab, opts)
 	for n := opts.MinEvents; n <= opts.MaxEvents; n++ {
 		if !g.run(n, emit) {
 			return nil

@@ -19,6 +19,17 @@ type generator struct {
 	pruneIsolated bool
 }
 
+// newGenerator returns the generator of vocab's programs under opts (with
+// defaults applied). Isolated-address pruning is only sound for models
+// without syntactic dependencies, so it is on only for those.
+func newGenerator(vocab memmodel.Vocab, opts Options) *generator {
+	return &generator{
+		vocab:         vocab,
+		opts:          opts,
+		pruneIsolated: !opts.KeepIsolatedAddrs && len(vocab.DepTypes) == 0,
+	}
+}
+
 // slot is one instruction position while a program skeleton is being built.
 type slot struct {
 	op       litmus.Op

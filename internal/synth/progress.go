@@ -61,7 +61,9 @@ type progressSink struct {
 	done bool
 }
 
-func (p *progressSink) emit(phase string, interrupted bool) {
+// emit delivers one event built from st, a snapshot of the engine's
+// counters. Interrupted is reported on the done event only.
+func (p *progressSink) emit(phase string, st Stats) {
 	if p == nil || p.fn == nil {
 		return
 	}
@@ -75,14 +77,14 @@ func (p *progressSink) emit(phase string, interrupted bool) {
 		Model:             p.e.model.Name(),
 		Phase:             phase,
 		Size:              int(p.e.size.Load()),
-		ProgramsRaw:       int(p.e.programsRaw.Load()),
-		Programs:          int(p.e.programs.Load()),
-		Executions:        int(p.e.executions.Load()),
-		ExecutionsFast:    int(p.e.executionsFast.Load()),
-		Entries:           int(p.e.entries.Load()),
-		ForbiddenOutcomes: int(p.e.forbidden.Load()),
-		Elapsed:           time.Since(p.e.start),
-		Interrupted:       interrupted,
+		ProgramsRaw:       st.ProgramsRaw,
+		Programs:          st.Programs,
+		Executions:        st.Executions,
+		ExecutionsFast:    st.ExecutionsFast,
+		Entries:           st.Entries,
+		ForbiddenOutcomes: st.ForbiddenOutcomes,
+		Elapsed:           st.Elapsed,
+		Interrupted:       p.done && st.Interrupted,
 	})
 }
 
@@ -93,7 +95,7 @@ func (p *progressSink) loop(interval time.Duration, stop <-chan struct{}) {
 	for {
 		select {
 		case <-ticker.C:
-			p.emit(PhaseTick, false)
+			p.emit(PhaseTick, p.e.stats())
 		case <-stop:
 			return
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"memsynth/internal/memmodel"
 )
@@ -17,14 +16,17 @@ import (
 // so all shards agree on the identical per-size winner list, then each
 // shard explores only the winners whose per-size index is congruent to
 // Index modulo Stride. The union of the shards' explored programs is
-// therefore exactly the single-node winner set, partitioned, and
-// MergeShards replays the per-entry suite adds in the engine's global
-// (size, winner, within-program) order — reproducing the single-node
-// first-wins merge byte for byte, for any stride.
+// therefore exactly the single-node winner set, partitioned. Both entry
+// points run the one engine loop (engine.run): SynthesizeContext is the
+// one-shard case and folds each finding into the suites as it comes,
+// SynthesizeShard records the findings with their merge positions, and
+// MergeShards folds all shards' findings through the same Result.fold in
+// the global (size, winner, within-program) order — the single-node fold
+// order, so the merged suites are byte-identical for any stride.
 
 // ShardSpec selects one (index, stride) partition of the deduped program
-// stream. Stride 1 / index 0 is the whole stream (equivalent to a plain
-// SynthesizeContext run on the enumeration engine).
+// stream. Stride 1 / index 0 is the whole stream, the shard a
+// SynthesizeContext run explores.
 type ShardSpec struct {
 	Index  int `json:"index"`
 	Stride int `json:"stride"`
@@ -78,9 +80,9 @@ type ShardResult struct {
 // the deduped program stream: generation and dedupe run in full (their
 // output is deterministic, so every shard computes the identical winner
 // list), and only winners with per-size index ≡ shard.Index (mod
-// shard.Stride) are explored. Cancellation returns
-// a partial result with Stats.Interrupted set, which MergeShards
-// rejects — an interrupted shard must be retried, never merged.
+// shard.Stride) are explored. Cancellation returns a partial result with
+// Stats.Interrupted set, which MergeShards rejects — an interrupted shard
+// must be retried, never merged.
 func SynthesizeShard(ctx context.Context, m memmodel.Model, opts Options, shard ShardSpec) (*ShardResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -89,95 +91,14 @@ func SynthesizeShard(ctx context.Context, m memmodel.Model, opts Options, shard 
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	e := newEngine(m, opts)
-	return e.runShard(ctx, shard), nil
-}
-
-// runShard is engine.run with the explore phase restricted to the shard's
-// winner partition and per-entry merge positions recorded instead of
-// folding findings into suites.
-func (e *engine) runShard(ctx context.Context, shard ShardSpec) *ShardResult {
-	e.start = time.Now()
-
-	if ctx.Err() != nil {
-		// Already-cancelled callers must see a deterministically
-		// interrupted result (the async watcher below may lose the race
-		// on a fast run).
-		e.stopped.Store(true)
-	}
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			e.stopped.Store(true)
-		case <-watchDone:
-		}
-	}()
-	if e.prog != nil {
-		go e.prog.loop(e.opts.ProgressInterval, watchDone)
-	}
-
 	out := &ShardResult{
-		Model:       e.model.Name(),
-		ModelSource: e.res.ModelSource,
-		ModelDigest: e.res.ModelDigest,
-		Options:     e.opts.Normalize(),
-		Shard:       shard,
+		Model:   m.Name(),
+		Options: opts.Normalize(),
+		Shard:   shard,
 	}
-	for n := e.opts.MinEvents; n <= e.opts.MaxEvents; n++ {
-		if e.stopped.Load() {
-			break
-		}
-		e.size.Store(int32(n))
-		e.prog.emit(PhaseGenerate, false)
-		winners := e.generateAndDedupe(n)
-		if e.stopped.Load() {
-			break
-		}
-		e.prog.emit(PhaseExplore, false)
-		// Select this shard's partition, remembering each program's
-		// original winner index (the merge coordinate).
-		var subset []progClaim
-		var origIdx []int
-		for i := shard.Index; i < len(winners); i += shard.Stride {
-			subset = append(subset, winners[i])
-			origIdx = append(origIdx, i)
-		}
-		results := e.explore(subset)
-		if e.stopped.Load() {
-			break
-		}
-		for si, found := range results {
-			for wi, f := range found {
-				names := make([]string, len(f.axioms))
-				for k, ai := range f.axioms {
-					names[k] = e.axioms[ai].Name
-				}
-				out.Entries = append(out.Entries, ShardEntry{
-					Size:   n,
-					Winner: origIdx[si],
-					Within: wi,
-					Axioms: names,
-					Entry:  f.entry,
-				})
-			}
-		}
-	}
-
-	if e.seenForbidden != nil {
-		out.Stats.ForbiddenOutcomes = e.seenForbidden.Len()
-	}
-	out.Stats.ProgramsRaw = int(e.programsRaw.Load())
-	out.Stats.Programs = int(e.programs.Load())
-	out.Stats.Executions = int(e.executions.Load())
-	out.Stats.ExecutionsFast = int(e.executionsFast.Load())
-	out.Stats.Entries = int(e.entries.Load())
-	out.Stats.Stages = e.stageTimes()
-	out.Stats.Interrupted = e.stopped.Load()
-	out.Stats.Elapsed = time.Since(e.start)
-	e.prog.emit(PhaseDone, out.Stats.Interrupted)
-	return out
+	out.ModelSource, out.ModelDigest = memmodel.SourceOf(m)
+	out.Stats = newEngine(m, opts).run(ctx, shard, func(se ShardEntry) { out.Entries = append(out.Entries, se) })
+	return out, nil
 }
 
 // sameOutputOptions reports whether two normalized Options describe the
@@ -197,10 +118,10 @@ func sameOutputOptions(a, b Options) bool {
 // MergeShards folds a complete set of shard results — exactly one per
 // index in [0, stride) — into a single Result that is byte-identical
 // (suite texts, entry order, store digest) to a single-node run of the
-// same (model, options). The merge replays every entry's suite adds in
-// the global (Size, Winner, Within) order, which is precisely the order
-// the single-node engine performs them in, so the existing first-wins
-// min-seq representative rule yields the same representatives.
+// same (model, options). The merge folds every entry into the suites
+// with the engine's own Result.fold, in the global (Size, Winner, Within)
+// order, which is precisely the order a single-node run folds them in,
+// so the first-wins representative rule yields the same representatives.
 //
 // Stats are aggregated: generation counters are taken from shard 0
 // (every shard regenerates the full stream), worker-stage counters and
@@ -258,30 +179,13 @@ func MergeShards(m memmodel.Model, opts Options, shards []*ShardResult) (*Result
 		return all[i].Within < all[j].Within
 	})
 
-	res := &Result{
-		Model:    m.Name(),
-		Options:  opts,
-		PerAxiom: make(map[string]*Suite),
-		Union:    newSuite(m.Name(), "union"),
-	}
-	res.ModelSource, res.ModelDigest = memmodel.SourceOf(m)
-	for _, a := range m.Axioms() {
-		res.PerAxiom[a.Name] = newSuite(m.Name(), a.Name)
-	}
+	res := newResult(m, opts)
 	for _, se := range all {
-		for _, name := range se.Axioms {
-			s, ok := res.PerAxiom[name]
-			if !ok {
-				return nil, fmt.Errorf("synth: MergeShards: shard entry names unknown axiom %q", name)
-			}
-			s.add(se.Entry)
+		if err := res.fold(se); err != nil {
+			return nil, fmt.Errorf("synth: MergeShards: shard %w", err)
 		}
-		res.Union.add(se.Entry)
 	}
-	res.Union.sortEntries()
-	for _, s := range res.PerAxiom {
-		s.sortEntries()
-	}
+	res.sortSuites()
 
 	for _, sr := range shards {
 		if sr.Shard.Index == 0 {

@@ -185,13 +185,6 @@ func (r *Result) AxiomNames() []string {
 	return names
 }
 
-// foundEntry is one minimal-test instance a worker found, with the axiom
-// indices it is minimal for.
-type foundEntry struct {
-	axioms []int
-	entry  Entry
-}
-
 // Synthesize runs exhaustive minimal-test synthesis for model m under the
 // given bounds. It is a thin wrapper over SynthesizeContext with a
 // background context; it panics on invalid Options (a programmer error —
@@ -213,7 +206,58 @@ func SynthesizeContext(ctx context.Context, m memmodel.Model, opts Options) (*Re
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	return newEngine(m, opts.withDefaults()).run(ctx), nil
+	opts = opts.withDefaults()
+	e := newEngine(m, opts)
+	res := newResult(m, opts)
+	res.Admit = "off"
+	if e.admitOn {
+		res.Admit = "fast"
+	}
+	// A whole run is the one-shard case. Each size's findings are folded
+	// into the suites as that size finishes; their axiom names come from
+	// the model itself, so fold cannot fail.
+	res.Stats = e.run(ctx, ShardSpec{Index: 0, Stride: 1}, func(se ShardEntry) { _ = res.fold(se) })
+	res.sortSuites()
+	return res, nil
+}
+
+// newResult returns an empty result for (m, opts): one suite per axiom
+// plus the union.
+func newResult(m memmodel.Model, opts Options) *Result {
+	res := &Result{
+		Model:    m.Name(),
+		Options:  opts,
+		PerAxiom: make(map[string]*Suite),
+		Union:    newSuite(m.Name(), "union"),
+	}
+	res.ModelSource, res.ModelDigest = memmodel.SourceOf(m)
+	for _, a := range m.Axioms() {
+		res.PerAxiom[a.Name] = newSuite(m.Name(), a.Name)
+	}
+	return res
+}
+
+// fold adds one finding to the suites of its axioms and to the union.
+// Fed in (Size, Winner, Within) order, the suites' first-wins adds keep
+// exactly the representatives a single sequential run would.
+func (r *Result) fold(se ShardEntry) error {
+	for _, name := range se.Axioms {
+		s, ok := r.PerAxiom[name]
+		if !ok {
+			return fmt.Errorf("entry names unknown axiom %q", name)
+		}
+		s.add(se.Entry)
+	}
+	r.Union.add(se.Entry)
+	return nil
+}
+
+// sortSuites puts every suite in its deterministic output order.
+func (r *Result) sortSuites() {
+	r.Union.sortEntries()
+	for _, s := range r.PerAxiom {
+		s.sortEntries()
+	}
 }
 
 // engine holds one synthesis run's shared state. Counters are atomics so
@@ -251,7 +295,6 @@ type engine struct {
 
 	start time.Time
 	prog  *progressSink
-	res   *Result
 }
 
 func newEngine(m memmodel.Model, opts Options) *engine {
@@ -260,25 +303,11 @@ func newEngine(m memmodel.Model, opts Options) *engine {
 		opts:      opts,
 		axioms:    m.Axioms(),
 		seenEntry: newShardedSet(opts.Workers),
-		res: &Result{
-			Model:    m.Name(),
-			Options:  opts,
-			PerAxiom: make(map[string]*Suite),
-			Union:    newSuite(m.Name(), "union"),
-		},
 	}
-	e.res.ModelSource, e.res.ModelDigest = memmodel.SourceOf(m)
 	if opts.Admit != "off" && !opts.CountForbidden {
 		if ok, _ := admit.Supports(m); ok {
 			e.admitOn = true
 		}
-	}
-	e.res.Admit = "off"
-	if e.admitOn {
-		e.res.Admit = "fast"
-	}
-	for _, a := range e.axioms {
-		e.res.PerAxiom[a.Name] = newSuite(m.Name(), a.Name)
 	}
 	if opts.CountForbidden {
 		e.seenForbidden = newShardedSet(opts.Workers)
@@ -289,9 +318,20 @@ func newEngine(m memmodel.Model, opts Options) *engine {
 	return e
 }
 
-func (e *engine) run(ctx context.Context) *Result {
+// run is the synthesis loop (§5). For every size it generates and
+// dedupes the full program stream, explores the shard's partition of the
+// winners, and hands each finding to sink in (Size, Winner, Within)
+// order. A cancelled run still hands over the findings of the programs it
+// completed in the size it was interrupted in, and reports Interrupted.
+func (e *engine) run(ctx context.Context, shard ShardSpec, sink func(ShardEntry)) Stats {
 	e.start = time.Now()
 
+	if ctx.Err() != nil {
+		// Already-cancelled callers must see a deterministically
+		// interrupted result (the async watcher below may lose the race
+		// on a fast run).
+		e.stopped.Store(true)
+	}
 	// Watch ctx on a side goroutine and fold it into one atomic flag the
 	// hot paths can poll cheaply.
 	watchDone := make(chan struct{})
@@ -312,42 +352,43 @@ func (e *engine) run(ctx context.Context) *Result {
 			break
 		}
 		e.size.Store(int32(n))
-		e.prog.emit(PhaseGenerate, false)
+		e.prog.emit(PhaseGenerate, e.stats())
 		winners := e.generateAndDedupe(n)
 		if e.stopped.Load() {
 			break
 		}
-		e.prog.emit(PhaseExplore, false)
-		e.merge(e.explore(winners))
+		e.prog.emit(PhaseExplore, e.stats())
+		for _, found := range e.explore(n, winners, shard) {
+			for _, se := range found {
+				sink(se)
+			}
+		}
 	}
 
-	e.res.Union.sortEntries()
-	for _, s := range e.res.PerAxiom {
-		s.sortEntries()
-	}
-	if e.seenForbidden != nil {
-		e.res.Stats.ForbiddenOutcomes = e.seenForbidden.Len()
-	}
-	e.res.Stats.ProgramsRaw = int(e.programsRaw.Load())
-	e.res.Stats.Programs = int(e.programs.Load())
-	e.res.Stats.Executions = int(e.executions.Load())
-	e.res.Stats.ExecutionsFast = int(e.executionsFast.Load())
-	e.res.Stats.Entries = int(e.entries.Load())
-	e.res.Stats.Stages = e.stageTimes()
-	e.res.Stats.Interrupted = e.stopped.Load()
-	e.res.Stats.Elapsed = time.Since(e.start)
-	e.prog.emit(PhaseDone, e.res.Stats.Interrupted)
-	return e.res
+	st := e.stats()
+	e.prog.emit(PhaseDone, st)
+	return st
 }
 
-// stageTimes snapshots the per-stage timing counters.
-func (e *engine) stageTimes() StageTimes {
-	return StageTimes{
-		Generation: time.Duration(e.genNS.Load()),
-		Dedupe:     time.Duration(e.dedupeNS.Load()),
-		Execution:  time.Duration(e.execNS.Load()),
-		Minimality: time.Duration(e.minNS.Load()),
-		Admit:      time.Duration(e.admitNS.Load()),
+// stats snapshots the run's counters. The returned Stats and every
+// progress event are built from it.
+func (e *engine) stats() Stats {
+	return Stats{
+		ProgramsRaw:       int(e.programsRaw.Load()),
+		Programs:          int(e.programs.Load()),
+		Executions:        int(e.executions.Load()),
+		ExecutionsFast:    int(e.executionsFast.Load()),
+		ForbiddenOutcomes: int(e.forbidden.Load()),
+		Entries:           int(e.entries.Load()),
+		Elapsed:           time.Since(e.start),
+		Stages: StageTimes{
+			Generation: time.Duration(e.genNS.Load()),
+			Dedupe:     time.Duration(e.dedupeNS.Load()),
+			Execution:  time.Duration(e.execNS.Load()),
+			Minimality: time.Duration(e.minNS.Load()),
+			Admit:      time.Duration(e.admitNS.Load()),
+		},
+		Interrupted: e.stopped.Load(),
 	}
 }
 
@@ -384,12 +425,7 @@ func (e *engine) generateAndDedupe(n int) []progClaim {
 		}()
 	}
 
-	vocab := e.model.Vocab()
-	gen := &generator{
-		vocab:         vocab,
-		opts:          e.opts,
-		pruneIsolated: !e.opts.KeepIsolatedAddrs && len(vocab.DepTypes) == 0,
-	}
+	gen := newGenerator(e.model.Vocab(), e.opts)
 	var seq int64
 	t0 := time.Now()
 	gen.run(n, func(t *litmus.Test) bool {
@@ -410,13 +446,14 @@ func (e *engine) generateAndDedupe(n int) []progClaim {
 	return winners
 }
 
-// explore fans the per-program execution exploration out over the workers
-// (work-stealing by index) and returns per-program findings aligned with
-// the winners slice. Each worker holds one minimal.Checker, so the static
-// evaluation contexts and scratch buffers are pooled per worker and
-// amortized across every execution of every program the worker claims.
-func (e *engine) explore(winners []progClaim) [][]foundEntry {
-	results := make([][]foundEntry, len(winners))
+// explore fans the exploration of the shard's programs — winners
+// shard.Index, shard.Index+shard.Stride, … of size n — out over the
+// workers (work-stealing by index) and returns their findings in winner
+// order. Each worker holds one minimal.Checker, so the static evaluation
+// contexts and scratch buffers are pooled per worker and amortized across
+// every execution of every program the worker claims.
+func (e *engine) explore(n int, winners []progClaim, shard ShardSpec) [][]ShardEntry {
+	results := make([][]ShardEntry, (len(winners)-shard.Index+shard.Stride-1)/shard.Stride)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < e.opts.Workers; w++ {
@@ -429,29 +466,17 @@ func (e *engine) explore(winners []progClaim) [][]foundEntry {
 				adm = admit.NewChecker(e.model)
 			}
 			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(winners) || e.stopped.Load() {
+				k := int(next.Add(1) - 1)
+				if k >= len(results) || e.stopped.Load() {
 					return
 				}
-				results[i] = e.processProgram(checker, adm, winners[i].test)
+				i := shard.Index + k*shard.Stride
+				results[k] = e.processProgram(checker, adm, winners[i].test, n, i)
 			}
 		}()
 	}
 	wg.Wait()
 	return results
-}
-
-// merge folds per-program findings into the suites, in generation order,
-// reproducing the sequential engine's first-wins add order exactly.
-func (e *engine) merge(results [][]foundEntry) {
-	for _, found := range results {
-		for _, f := range found {
-			for _, ai := range f.axioms {
-				e.res.PerAxiom[e.axioms[ai].Name].add(f.entry)
-			}
-			e.res.Union.add(f.entry)
-		}
-	}
 }
 
 // processProgram explores the executions of t and applies the minimality
@@ -460,11 +485,13 @@ func (e *engine) merge(results [][]foundEntry) {
 // coherence orders are enumerated: a refuted assignment's extensions are
 // counted as fast-decided instead of visited (a refuted assignment has no
 // minimal extension, so every finding an unfiltered run makes survives).
-// On cancellation mid-program the partial findings are discarded
-// (counters keep what was actually checked).
-func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmus.Test) []foundEntry {
+// Each finding is tagged with its merge position: size n, winner index
+// winner, and its index among the program's findings. On cancellation
+// mid-program the partial findings are discarded (counters keep what was
+// actually checked).
+func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmus.Test, n, winner int) []ShardEntry {
 	c.Bind(t)
-	var found []foundEntry
+	var found []ShardEntry
 	var execs, fastExecs, minNS, dedupeNS, admitNS int64
 	completed := true
 	t0 := time.Now()
@@ -530,9 +557,16 @@ func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmu
 			e.entries.Add(1)
 		}
 		dedupeNS += int64(time.Since(d0))
-		found = append(found, foundEntry{
-			axioms: append([]int(nil), mins...),
-			entry:  Entry{Test: t, Exec: x.Clone(), Key: key, Size: len(t.Events)},
+		axioms := make([]string, len(mins))
+		for k, ai := range mins {
+			axioms[k] = e.axioms[ai].Name
+		}
+		found = append(found, ShardEntry{
+			Size:   n,
+			Winner: winner,
+			Within: len(found),
+			Axioms: axioms,
+			Entry:  Entry{Test: t, Exec: x.Clone(), Key: key, Size: len(t.Events)},
 		})
 		return true
 	})
